@@ -39,7 +39,6 @@ from .decomposition import (
     clusters,
     helly_intersection,
     interior_blocks,
-    jsj_graph,
     modify_jsj,
     plan_surface_assembly,
 )

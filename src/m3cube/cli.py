@@ -19,7 +19,6 @@ from .cubecomplex import check_npc, dimension, specialness_report
 from .decomposition import Tree, helly_intersection, modify_jsj, plan_surface_assembly
 from .errors import (
     BudgetExceededError,
-    DimensionTooLargeError,
     M3CubeError,
     NotSeifertError,
     ParseError,
@@ -213,10 +212,7 @@ def _cmd_dual_cube(args) -> int:
 def _cmd_special_check(args) -> int:
     c = parse_complex(_read(args.path))
     report = specialness_report(c)
-    try:
-        npc = check_npc(c).npc
-    except DimensionTooLargeError:
-        npc = None
+    npc = check_npc(c).npc
     if args.json:
         _emit_json(
             {
@@ -239,10 +235,7 @@ def _cmd_special_check(args) -> int:
         )
         return 0 if report.special else 1
     sys.stdout.write(report.render())
-    if npc is None:
-        print("npc: unchecked (dimension > 4)")
-    else:
-        print(f"npc: {'yes' if npc else 'no'}")
+    print(f"npc: {'yes' if npc else 'no'}")
     return 0 if report.special else 1
 
 

@@ -2,9 +2,10 @@
 
 A complex is a vertex set plus explicit cubes; each cube is a corner map
 from {0,1}^d to vertices, listed in binary-counter order (bit j of the
-corner index is coordinate j). Faces are implicit: derived by restriction.
-Identifications are expressed by corner maps hitting repeated vertices, so
-an edge is determined by its endpoint pair (no parallel 1-cells).
+corner index is coordinate j). Edges and squares are implicit: each cube's
+1- and 2-faces are enumerated from its coordinates. Identifications are
+expressed by corner maps hitting repeated vertices, so an edge is
+determined by its endpoint pair (no parallel 1-cells).
 
 Hyperplanes are parallelism classes of edges under the opposite-edge-in-a-
 square relation. The pathology scan follows the usual conventions: a class
@@ -13,6 +14,9 @@ self-intersects a class when two of its coordinates land in it; two dual
 edges sharing a vertex without spanning a square osculate, directly when
 they are equally oriented; two classes inter-osculate when they cross in
 some square and osculate elsewhere.
+
+Nonpositive curvature is decided in every dimension by Gromov's link
+condition (see ``check_npc``).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import DimensionTooLargeError, InputError
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -63,26 +67,29 @@ def dimension(c: CubeComplex) -> int:
     return max((cube.dim for cube in c.cubes), default=0)
 
 
-def _face(corners: tuple, d: int, k: int, s: int) -> tuple:
-    """Corners of the (d-1)-face fixing coordinate k to side s."""
-    out = []
-    for idx in range(2 ** (d - 1)):
-        low = idx & ((1 << k) - 1)
-        high = idx >> k
-        out.append(corners[low | (s << k) | (high << (k + 1))])
-    return tuple(out)
-
-
 def _cube_edges(d: int, corners: tuple) -> list[tuple]:
     """All 1-faces as ordered pairs (corner at 0-side, corner at 1-side)."""
-    if d == 1:
-        return [(corners[0], corners[1])]
     out = []
     for idx in range(2 ** d):
         for j in range(d):
             if not idx & (1 << j):
                 out.append((corners[idx], corners[idx | (1 << j)]))
     return out
+
+
+def _cube_squares(d: int, corners: tuple):
+    """All 2-faces as (v00, v10, v01, v11), one per coordinate pair and base."""
+    for i in range(d):
+        for j in range(i + 1, d):
+            bi, bj = 1 << i, 1 << j
+            for base in range(2 ** d):
+                if not base & (bi | bj):
+                    yield (
+                        corners[base],
+                        corners[base | bi],
+                        corners[base | bj],
+                        corners[base | bi | bj],
+                    )
 
 
 _SQUARE_SYMMETRIES = (
@@ -103,20 +110,12 @@ def _canonical_square(sq: tuple) -> tuple:
 
 def derived_squares(c: CubeComplex) -> tuple[tuple, ...]:
     """All 2-faces of all cubes, deduplicated up to square symmetry."""
-    seen = {}
-    for cube in c.cubes:
-        stack = [(cube.dim, cube.corners)]
-        while stack:
-            d, corners = stack.pop()
-            if d == 2:
-                seen.setdefault(_canonical_square(corners), corners)
-                continue
-            if d < 2:
-                continue
-            for k in range(d):
-                for s in (0, 1):
-                    stack.append((d - 1, _face(corners, d, k, s)))
-    return tuple(seen[key] for key in sorted(seen, key=_sort_key))
+    seen = {
+        _canonical_square(sq)
+        for cube in c.cubes
+        for sq in _cube_squares(cube.dim, cube.corners)
+    }
+    return tuple(sorted(seen, key=_sort_key))
 
 
 def _sort_key(obj):
@@ -142,10 +141,13 @@ class _UnionFind:
         self.parent = {}
 
     def find(self, x):
-        p = self.parent.setdefault(x, x)
-        if p != x:
-            p = self.parent[x] = self.find(p)
-        return p
+        parent = self.parent
+        root = x
+        while (p := parent.setdefault(root, root)) != root:
+            root = p
+        while x != root:  # path compression
+            parent[x], x = root, parent[x]
+        return root
 
     def union(self, x, y):
         rx, ry = self.find(x), self.find(y)
@@ -155,15 +157,14 @@ class _UnionFind:
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """One parallelism class: its dual edges and its midcube positions."""
+    """One parallelism class: its dual edges."""
 
     index: int
     edges: frozenset
-    positions: tuple[tuple[int, int], ...]  # (cube index, coordinate)
 
 
 def _edge_classes(c: CubeComplex):
-    """Union-find partition of the derived edges, plus square bookkeeping."""
+    """Union-find partition of the derived edges, plus the derived squares."""
     edges = derived_edges(c)
     squares = derived_squares(c)
     uf = _UnionFind()
@@ -175,28 +176,18 @@ def _edge_classes(c: CubeComplex):
     return edges, squares, uf
 
 
+def _planes(edges, uf: _UnionFind) -> tuple[Hyperplane, ...]:
+    """Classes numbered by their least edge; ``edges`` is already sorted."""
+    groups: dict = {}
+    for e in edges:
+        groups.setdefault(uf.find(e), []).append(e)
+    return tuple(Hyperplane(i, frozenset(es)) for i, es in enumerate(groups.values()))
+
+
 def hyperplanes(c: CubeComplex) -> tuple[Hyperplane, ...]:
     _require_valid(c)
     edges, _squares, uf = _edge_classes(c)
-    groups: dict = {}
-    for e in edges:
-        groups.setdefault(uf.find(e), set()).add(e)
-
-    roots = sorted(
-        groups, key=lambda r: min(sorted(map(str, e)) for e in groups[r])
-    )
-    root_index = {r: i for i, r in enumerate(roots)}
-
-    positions: dict[int, list[tuple[int, int]]] = {i: [] for i in root_index.values()}
-    for ci, cube in enumerate(c.cubes):
-        for j in range(cube.dim):
-            rep = frozenset((cube.corners[0], cube.corners[1 << j]))
-            positions[root_index[uf.find(rep)]].append((ci, j))
-
-    return tuple(
-        Hyperplane(i, frozenset(groups[r]), tuple(sorted(positions[i])))
-        for i, r in enumerate(roots)
-    )
+    return _planes(edges, uf)
 
 
 @dataclass(frozen=True)
@@ -248,11 +239,8 @@ class PathologyReport:
 def specialness_report(c: CubeComplex) -> PathologyReport:
     _require_valid(c)
     edges, squares, uf = _edge_classes(c)
-    planes = hyperplanes(c)
-    class_of = {}
-    for h in planes:
-        for e in h.edges:
-            class_of[e] = h.index
+    planes = _planes(edges, uf)
+    class_of = {e: h.index for h in planes for e in h.edges}
 
     duf = _UnionFind()
     for v00, v10, v01, v11 in squares:
@@ -261,17 +249,14 @@ def specialness_report(c: CubeComplex) -> PathologyReport:
         duf.union((v00, v01), (v10, v11))
         duf.union((v01, v00), (v11, v10))
 
-    square_edge_sets = []
     edge_to_squares: dict = {}
     for si, (v00, v10, v01, v11) in enumerate(squares):
-        es = {
+        for e in (
             frozenset((v00, v10)),
             frozenset((v01, v11)),
             frozenset((v00, v01)),
             frozenset((v10, v11)),
-        }
-        square_edge_sets.append(es)
-        for e in es:
+        ):
             edge_to_squares.setdefault(e, set()).add(si)
 
     def span_square(e1, e2) -> bool:
@@ -338,32 +323,71 @@ class NPCReport:
     problems: tuple[str, ...]
 
 
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _empty_clique_sizes(germs) -> list[int]:
+    """Sizes of the empty cliques found in the link spanned by ``germs``.
+
+    Link vertices are edge germs, numbered as bits; the simplices are the
+    nonempty subsets of the corner germs. The link is flag exactly when
+    every simplex s extends by every link vertex adjacent to all of s:
+    any clique is then a simplex, by induction on its size.
+    """
+    index: dict = {}
+    masks = []
+    for germ in germs:
+        mask = 0
+        for e in germ:
+            mask |= 1 << index.setdefault(e, len(index))
+        masks.append(mask)
+    nbrs = [0] * len(index)
+    simplices = set()
+    for mask in masks:
+        for u in _bits(mask):
+            nbrs[u] |= mask
+        sub = mask
+        while sub:
+            simplices.add(sub)
+            sub = (sub - 1) & mask
+    sizes = set()
+    for s in simplices:
+        common = -1
+        for u in _bits(s):
+            common &= nbrs[u]
+        for u in _bits(common & ~s):
+            if s | 1 << u not in simplices:
+                sizes.add(s.bit_count() + 1)
+    return sorted(sizes)
+
+
 def check_npc(c: CubeComplex) -> NPCReport:
     """Gromov's criterion: every vertex link simplicial and flag.
 
-    Implemented for complexes of dimension at most 4, whose links are
-    simplicial complexes of dimension at most 3.
+    Simplicial means no corner repeats an edge (a link loop) and no two
+    corners span the same link simplex; flag is tested by simplex
+    extension, in any dimension and in time polynomial in the size of the
+    complex (each corner of a d-cube adds at most 2^d link simplices).
     """
     _require_valid(c)
-    dim = dimension(c)
-    if dim > 4:
-        raise DimensionTooLargeError(f"dimension {dim} > 4")
 
     # corner simplices per vertex: the set of edge-germs at each cube corner
     corners_at: dict = {}
     problems: list[str] = []
     for ci, cube in enumerate(c.cubes):
-        for idx in range(2 ** cube.dim):
-            v = cube.corners[idx]
-            germ = []
-            for j in range(cube.dim):
-                w = cube.corners[idx ^ (1 << j)]
-                germ.append(frozenset((v, w)))
-            if len(set(germ)) != len(germ):
+        for idx, v in enumerate(cube.corners):
+            germ = frozenset(
+                frozenset((v, cube.corners[idx ^ (1 << j)])) for j in range(cube.dim)
+            )
+            if len(germ) != cube.dim:
                 problems.append(
                     f"vertex {v}: cube {ci} corner {idx} repeats an edge (link loop)"
                 )
-            corners_at.setdefault(v, []).append((frozenset(germ), ci, idx))
+            corners_at.setdefault(v, []).append((germ, ci, idx))
 
     for v, germs in sorted(corners_at.items(), key=lambda kv: str(kv[0])):
         seen: dict = {}
@@ -376,26 +400,8 @@ def check_npc(c: CubeComplex) -> NPCReport:
                 )
             seen.setdefault(gset, (ci, idx))
 
-        link_vertices = sorted({e for gset, _, _ in germs for e in gset},
-                               key=lambda e: sorted(map(str, e)))
-        adjacent = set()
-        filled = set()
-        for gset, _, _ in germs:
-            for pair in combinations(sorted(gset, key=lambda e: sorted(map(str, e))), 2):
-                adjacent.add(frozenset(pair))
-            for size in (3, 4):
-                for sub in combinations(sorted(gset, key=lambda e: sorted(map(str, e))), size):
-                    filled.add(frozenset(sub))
-
-        for size in (3, 4, 5):
-            for combo in combinations(link_vertices, size):
-                if all(
-                    frozenset((a, b)) in adjacent for a, b in combinations(combo, 2)
-                ):
-                    if size == 5 or frozenset(combo) not in filled:
-                        problems.append(
-                            f"vertex {v}: empty {size}-clique in link (not flag)"
-                        )
+        for size in _empty_clique_sizes(gset for gset, _, _ in germs):
+            problems.append(f"vertex {v}: empty {size}-clique in link (not flag)")
 
     return NPCReport(not problems, tuple(dict.fromkeys(problems)))
 

@@ -31,24 +31,6 @@ from .manifold import (
 )
 
 
-@dataclass(frozen=True)
-class BlockGraph:
-    """The multigraph of blocks: vertices are block ids, edges are tori."""
-
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str, str], ...]  # (torus_id, block_a, block_b)
-
-    def degree(self, v: str) -> int:
-        return sum((a == v) + (b == v) for _, a, b in self.edges)
-
-
-def jsj_graph(m: ManifoldGraph) -> BlockGraph:
-    return BlockGraph(
-        tuple(m.block_ids()),
-        tuple((t.torus_id, t.end_a.block_id, t.end_b.block_id) for t in m.jsj_tori),
-    )
-
-
 THIN_BLOCK = SeifertBlockData(genus=0, num_boundary=2, is_thin=True)
 
 

@@ -76,10 +76,6 @@ class NoSlopesError(InputError):
     """Torus wallspace needs at least one slope."""
 
 
-class DimensionTooLargeError(InputError):
-    """Link analysis is implemented for cube dimension <= 4."""
-
-
 class ParseError(InputError):
     """Text input rejected, with position information."""
 

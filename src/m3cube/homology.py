@@ -28,14 +28,6 @@ class IntMatrix:
             raise DimensionMismatchError("ragged rows")
         return IntMatrix(tup)
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zero(m: int, n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(0 for _ in range(n)) for _ in range(m)))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -236,10 +228,6 @@ def solve_column_image(R: IntMatrix, w: Sequence[int]) -> tuple[int, ...] | None
     return snf.V.mul_vector(y)
 
 
-def in_column_image(R: IntMatrix, w: Sequence[int]) -> bool:
-    return solve_column_image(R, w) is not None
-
-
 @dataclass(frozen=True)
 class AbelianPresentation:
     """Abelianized presentation of H1 of a Seifert block.
@@ -272,8 +260,10 @@ def presentation_h1(b: SeifertBlockData) -> AbelianPresentation:
     """Abelianized H1 presentation from the Seifert invariants.
 
     Each exceptional fiber (a_j, b_j) gives the relation a_j q_j + b_j h = 0;
-    the section gives q_1 + ... + q_m + d_1 + ... + d_p + e h = 0 where e is
-    the section obstruction for a closed block and 0 otherwise.
+    the section gives q_1 + ... + q_m + d_1 + ... + d_p - b h = 0 where b is
+    the section obstruction for a closed block and 0 otherwise. This sign
+    matches e = -(b + sum b_j/a_j): a closed genus-0 block with e != 0 has
+    finite H1 of order a_1 * ... * a_m * |e|.
     """
     g, mexc, p = b.genus, len(b.exceptional), b.num_boundary
     labels: list[str] = []
@@ -296,7 +286,7 @@ def presentation_h1(b: SeifertBlockData) -> AbelianPresentation:
         section[2 * g + j] = 1
     for k in range(p):
         section[2 * g + mexc + k] = 1
-    section[h] = b.section_obstruction if p == 0 else 0
+    section[h] = -b.section_obstruction if p == 0 else 0
     cols.append(section)
 
     relations = IntMatrix.from_rows(list(map(list, zip(*cols))))
@@ -322,21 +312,6 @@ class LatticeBasis:
     @property
     def rank(self) -> int:
         return len(self.vectors)
-
-    def contains(self, v: Sequence[int]) -> bool:
-        """Exact membership via back-substitution against the echelon rows."""
-        if len(v) != self.dim:
-            raise DimensionMismatchError("vector length mismatch")
-        rem = list(v)
-        for row in self.vectors:
-            lead = next((j for j, x in enumerate(row) if x), None)
-            if lead is None:
-                continue
-            if rem[lead] % row[lead]:
-                return False
-            c = rem[lead] // row[lead]
-            rem = [x - c * y for x, y in zip(rem, row)]
-        return not any(rem)
 
 
 def _row_hnf(vectors: list[list[int]], dim: int) -> tuple[tuple[int, ...], ...]:

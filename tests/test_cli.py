@@ -156,6 +156,24 @@ def test_special_check_clean(capsys, catalog):
     assert "npc: yes" in out
 
 
+def test_special_check_long_strip(capsys, tmp_path):
+    # vertex names fall along the strip, so the parallelism unions build
+    # one parent chain 3000 links long
+    n = 3000
+    name = lambda side, k: f"{side}{n - k:04d}"
+    lines = [f"vertex {name(side, k)}" for k in range(n + 1) for side in "ab"]
+    lines += [
+        f"cube 2 {name('a', k)} {name('a', k + 1)} {name('b', k)} {name('b', k + 1)}"
+        for k in range(n)
+    ]
+    path = tmp_path / "strip.cc"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "special-check", str(path))
+    assert (code, err) == (0, "")
+    assert out.endswith("\nspecial\nnpc: yes\n")
+    assert out.count(": clean\n") == n + 1
+
+
 def test_special_check_catalog_profiles(capsys, catalog):
     # pathology files carry exactly their designed defect
     expectations = {

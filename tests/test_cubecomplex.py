@@ -2,7 +2,9 @@
 
 import itertools
 import random
+from math import comb
 
+import networkx as nx
 import pytest
 
 from m3cube.cubecomplex import (
@@ -17,7 +19,7 @@ from m3cube.cubecomplex import (
     specialness_report,
     validate_complex,
 )
-from m3cube.errors import DimensionTooLargeError, InputError
+from m3cube.errors import InputError
 
 
 def k_cube(k, prefix="v"):
@@ -128,11 +130,14 @@ def test_derived_squares_deduplicates_shared_faces():
 
 
 def test_single_cube_hyperplane_count():
-    for k in (1, 2, 3, 4):
-        planes = hyperplanes(k_cube(k))
+    for k in range(1, 8):
+        c = k_cube(k)
+        planes = hyperplanes(c)
         assert len(planes) == k
         # each hyperplane of a k-cube crosses 2^(k-1) parallel edges
         assert sorted(len(p.edges) for p in planes) == [2 ** (k - 1)] * k
+        # C(k,2) coordinate pairs, each with 2^(k-2) parallel squares
+        assert len(derived_squares(c)) == comb(k, 2) * 2 ** k // 4
 
 
 def test_grid_hyperplanes():
@@ -199,14 +204,6 @@ def test_hyperplane_partition_matches_oracle(builder):
     c = builder()
     got = {frozenset(p.edges) for p in hyperplanes(c)}
     assert got == oracle_parallel_classes(c)
-
-
-def test_hyperplane_positions_cover_every_coordinate():
-    c = grid_3x3()
-    planes = hyperplanes(c)
-    seen = sorted(pos for p in planes for pos in p.positions)
-    expect = sorted((ci, j) for ci in range(9) for j in range(2))
-    assert seen == expect
 
 
 def test_square_and_cubes_are_special():
@@ -317,9 +314,85 @@ def test_npc_pathologies_can_still_be_npc():
     assert check_npc(from_squares(PINCER)).npc
 
 
-def test_npc_dimension_cap():
-    with pytest.raises(DimensionTooLargeError):
-        check_npc(k_cube(5))
+def test_npc_has_no_dimension_cap():
+    for k in (5, 6, 7):
+        rep = check_npc(k_cube(k))
+        assert rep.npc, rep.problems
+
+
+def test_npc_boundary_of_6_cube_is_not_flag():
+    # the twelve 5-faces of a 6-cube: every vertex link is the boundary
+    # of a 5-simplex, six pairwise adjacent germs spanning no simplex
+    name = lambda m: "v" + "".join(str(m >> j & 1) for j in range(6))
+    faces = [
+        (5, tuple(name(m) for m in range(64) if m >> k & 1 == s))
+        for k in range(6)
+        for s in (0, 1)
+    ]
+    rep = check_npc(complex_from_cubes(faces))
+    assert not rep.npc
+    assert all("empty 6-clique" in p for p in rep.problems)
+
+
+def random_grid_complex(rng):
+    """A few subcubes of the grid {0,1,2}^n, n <= 4, with some vertices glued."""
+    n = rng.randint(2, 4)
+    cubes = []
+    for _ in range(rng.randint(1, 6)):
+        k = rng.randint(1, n)
+        axes = rng.sample(range(n), k)
+        base = [rng.randint(0, 1) for _ in range(n)]
+        corners = []
+        for m in range(2 ** k):
+            p = list(base)
+            for j, a in enumerate(axes):
+                p[a] += m >> j & 1
+            corners.append("".join(map(str, p)))
+        cubes.append((k, corners))
+    used = sorted({v for _, cs in cubes for v in cs})
+    glue = {}
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.sample(used, 2)
+        glue[a] = glue.get(b, b)
+    return complex_from_cubes([(k, [glue.get(v, v) for v in cs]) for k, cs in cubes])
+
+
+def npc_oracle(c):
+    """No link loop, no doubled simplex, every maximal link clique in a germ."""
+    germs = {}
+    for cube in c.cubes:
+        for idx, v in enumerate(cube.corners):
+            germs.setdefault(v, []).append(
+                [frozenset((v, cube.corners[idx ^ 1 << j])) for j in range(cube.dim)]
+            )
+    for gs in germs.values():
+        if any(len(set(g)) < len(g) for g in gs):
+            return False
+        big = [frozenset(g) for g in gs if len(g) >= 2]
+        if len(big) != len(set(big)):
+            return False
+        link = nx.Graph()
+        for g in gs:
+            link.add_nodes_from(g)
+            link.add_edges_from(itertools.combinations(g, 2))
+        for clique in nx.find_cliques(link):
+            if not any(set(clique) <= set(g) for g in gs):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_npc_matches_clique_oracle(seed):
+    rng = random.Random(seed)
+    verdicts = []
+    for _ in range(100):
+        c = random_grid_complex(rng)
+        if validate_complex(c):
+            continue
+        npc = check_npc(c).npc
+        assert npc == npc_oracle(c), c
+        verdicts.append(npc)
+    assert True in verdicts and False in verdicts
 
 
 def test_folded_cube3_profile():

@@ -9,7 +9,6 @@ from m3cube.decomposition import (
     clusters,
     helly_intersection,
     interior_blocks,
-    jsj_graph,
     modify_jsj,
     plan_surface_assembly,
 )
@@ -38,12 +37,6 @@ def hyp_pair():
         {"H1": HyperbolicBlockData(1), "H2": HyperbolicBlockData(1)},
         (TorusEdge("T", TorusEnd("H1", 0), TorusEnd("H2", 0), SWAP),),
     )
-
-
-def test_jsj_graph_shape():
-    g = jsj_graph(hyp_pair())
-    assert g.vertices == ("H1", "H2")
-    assert g.edges == (("T", "H1", "H2"),)
 
 
 def test_modify_inserts_thin_between_hyperbolic():

@@ -4,6 +4,7 @@ sympy is used here as an independent oracle only; the package itself never
 imports it.
 """
 
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from m3cube.charge import euler_number
 from m3cube.errors import DimensionMismatchError, NotClosedError
 from m3cube.homology import (
     IntMatrix,
@@ -135,11 +137,34 @@ def test_presentation_closed_uses_obstruction():
 
 def test_presentation_closed_exceptional_goldens():
     # hand-reduced determinants of the 4x4 relation matrix over S^2(2,3,5):
-    # with section column (1,1,1,b) the order is |30*b - 31|
-    sphere = SeifertBlockData(0, 0, exceptional=((2, 1), (3, 1), (5, 1)), section_obstruction=1)
+    # with section column (1,1,1,-b) the order is |30*b + 31| = 30*|e|
+    sphere = SeifertBlockData(0, 0, exceptional=((2, 1), (3, 1), (5, 1)), section_obstruction=-1)
     assert presentation_h1(sphere).invariants() == (0, [])
-    big = SeifertBlockData(0, 0, exceptional=((2, 1), (3, 1), (5, 1)), section_obstruction=-1)
+    big = SeifertBlockData(0, 0, exceptional=((2, 1), (3, 1), (5, 1)), section_obstruction=1)
     assert presentation_h1(big).invariants() == (0, [61])
+
+
+def test_closed_genus0_torsion_order_is_product_times_euler():
+    # |H1| = a_1 * ... * a_m * |e| for a closed block over S^2 with e != 0
+    rng = random.Random(11)
+    checked = 0
+    while checked < 300:
+        exceptional = []
+        for _ in range(rng.randint(1, 4)):
+            a = rng.randint(2, 7)
+            exceptional.append((a, rng.choice([bb for bb in range(1, a) if math.gcd(a, bb) == 1])))
+        block = SeifertBlockData(
+            0, 0, exceptional=tuple(exceptional), section_obstruction=rng.randint(-4, 4)
+        )
+        e = euler_number(block)
+        if e == 0:
+            continue
+        pres = presentation_h1(block)
+        diag = sympy_snf(Matrix(pres.relations.rows)).diagonal()
+        order = math.prod(abs(d) for d in diag)
+        assert order == math.prod(a for a, _ in exceptional) * abs(e)
+        assert pres.invariants()[0] == 0
+        checked += 1
 
 
 def test_kernel_lattice_and_witness():
