@@ -39,6 +39,7 @@ from .decomposition import (
     clusters,
     helly_intersection,
     interior_blocks,
+    is_interior,
     modify_jsj,
     plan_surface_assembly,
 )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .decomposition import interior_blocks, modify_jsj
+from .decomposition import interior_blocks, is_interior, modify_jsj
 from .errors import (
     FiberFillingError,
     InputError,
@@ -124,12 +124,12 @@ def is_chargeless_block(m: ManifoldGraph, block_id: str) -> ChargeVerdict:
     data = m.blocks[block_id]
     if not isinstance(data, SeifertBlockData):
         raise NotSeifertError(f"block {block_id} is not Seifert fibered")
-    if block_id not in interior_blocks(m):
+    if not is_interior(m, block_id):
         raise NotInteriorError(f"block {block_id} is not interior")
 
     ends = adjacent_fiber_slopes(m, block_id)
     pres = presentation_h1(data)
-    classes = [class_in_h1(data, e.boundary_index, e.slope) for e in ends]
+    classes = [class_in_h1(pres, e.boundary_index, e.slope) for e in ends]
     lattice = kernel_lattice(classes, pres.relations)
     witness = all_nonzero_vector(lattice)
     obstruction = None if witness is not None else vanishing_coordinate(lattice)

@@ -176,23 +176,24 @@ def clusters(m: ManifoldGraph) -> ClusterPartition:
     return ClusterPartition(tuple(out), tuple(sorted(transitional)))
 
 
-def interior_blocks(m: ManifoldGraph) -> tuple[str, ...]:
-    """Seifert blocks with no manifold boundary and no hyperbolic neighbor."""
-    boundary_blocks = {end.block_id for end in m.boundary_tori}
-    out = []
-    for block_id in m.block_ids():
-        data = m.blocks[block_id]
-        if not isinstance(data, SeifertBlockData):
-            continue
-        if block_id in boundary_blocks:
-            continue
-        if any(
+def is_interior(m: ManifoldGraph, block_id: str) -> bool:
+    """Seifert, with no manifold boundary and no hyperbolic neighbor.
+
+    Reads the graph's adjacency index, so it costs O(degree).
+    """
+    return (
+        isinstance(m.blocks[block_id], SeifertBlockData)
+        and block_id not in m.index.boundary_blocks
+        and not any(
             isinstance(m.blocks[n], HyperbolicBlockData)
             for n in m.neighbors(block_id)
-        ):
-            continue
-        out.append(block_id)
-    return tuple(out)
+        )
+    )
+
+
+def interior_blocks(m: ManifoldGraph) -> tuple[str, ...]:
+    """Seifert blocks with no manifold boundary and no hyperbolic neighbor."""
+    return tuple(b for b in m.block_ids() if is_interior(m, b))
 
 
 @dataclass(frozen=True)

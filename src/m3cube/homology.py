@@ -115,8 +115,10 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
 
     Pivot choice is the entry of smallest nonzero absolute value in the
     remaining block, ties broken by lowest row and then lowest column, which
-    makes the transforms deterministic. Diagonal entries come out
-    non-negative and each divides the next.
+    makes the transforms deterministic. The search stops at the first unit
+    entry, and a unit pivot skips the divisibility sweep; neither changes
+    the transforms. Diagonal entries come out non-negative and each divides
+    the next.
     """
     m, n = A.nrows, A.ncols
     work = [list(r) for r in A.rows]
@@ -156,6 +158,10 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
                 v = abs(work[i][j])
                 if v and (best == 0 or v < best):
                     best, bi, bj = v, i, j
+                    if v == 1:
+                        break  # nothing later can win the strict comparison
+            if best == 1:
+                break
         if best == 0:
             break
         if bi != t:
@@ -184,6 +190,8 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
                 if left:
                     col_swap(t, min(left, key=lambda j: (work[t][j], j)))
                 continue
+            if p == 1:
+                break  # a unit divides everything: no sweep needed
             bad = None
             for i in range(t + 1, m):
                 if any(work[i][j] % p for j in range(t + 1, n)):
@@ -195,8 +203,11 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
             row_add(t, bad, 1)
         t += 1
 
+    # the entries are ints and the rows rectangular already: skip from_rows
     return SNFDecomposition(
-        IntMatrix.from_rows(U), IntMatrix.from_rows(work), IntMatrix.from_rows(V)
+        IntMatrix(tuple(map(tuple, U))),
+        IntMatrix(tuple(map(tuple, work))),
+        IntMatrix(tuple(map(tuple, V))),
     )
 
 
@@ -293,9 +304,14 @@ def presentation_h1(b: SeifertBlockData) -> AbelianPresentation:
     return AbelianPresentation(tuple(labels), relations, g, mexc, p)
 
 
-def class_in_h1(b: SeifertBlockData, boundary_index: int, s: Slope) -> tuple[int, ...]:
-    """Presentation coordinates of the curve p*d_k + q*h on boundary torus k."""
-    pres = presentation_h1(b)
+def class_in_h1(
+    pres: AbelianPresentation, boundary_index: int, s: Slope
+) -> tuple[int, ...]:
+    """Coordinates in ``pres`` of the curve p*d_k + q*h on boundary torus k.
+
+    ``pres`` is the block's presentation from ``presentation_h1``; building
+    it once per block and passing it in serves every end of that block.
+    """
     vec = [0] * len(pres.generators)
     vec[pres.boundary_index(boundary_index)] = s.p
     vec[pres.fiber_index] = s.q

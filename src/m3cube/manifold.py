@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     EmptyCurveSystemError,
@@ -178,11 +179,31 @@ class TorusEdge:
 
 
 @dataclass(frozen=True)
+class BlockIndex:
+    """Adjacency of a block graph, derived once from its tori.
+
+    ``ends`` maps a block to its JSJ ends as (edge, 'a'|'b') pairs sorted by
+    (torus id, side); a self-gluing contributes both of its ends. ``tori``
+    maps a torus id to its first edge in ``jsj_tori``. ``boundary_blocks``
+    holds the blocks that carry a manifold-boundary torus.
+    """
+
+    ends: dict[str, tuple[tuple[TorusEdge, str], ...]]
+    tori: dict[str, TorusEdge]
+    boundary_blocks: frozenset[str]
+
+
+@dataclass(frozen=True)
 class ManifoldGraph:
     """Blocks plus the tori that join them.
 
     ``boundary_tori`` lists the ends that stay on the manifold boundary.
     ``geometry_label`` is trusted input for manifolds with no JSJ tori.
+
+    ``index`` is built from ``jsj_tori`` and ``boundary_tori`` on first use
+    and kept for the life of the graph, so ``ends_of``, ``neighbors`` and
+    ``torus`` cost O(degree) or O(1) rather than a scan of every torus.
+    ``blocks`` is not indexed: it is a plain dict, read directly.
     """
 
     blocks: dict[str, BlockData]
@@ -190,32 +211,39 @@ class ManifoldGraph:
     boundary_tori: tuple[TorusEnd, ...] = ()
     geometry_label: str | None = None
 
+    @cached_property
+    def index(self) -> BlockIndex:
+        ends: dict[str, list[tuple[TorusEdge, str]]] = {}
+        tori: dict[str, TorusEdge] = {}
+        for t in self.jsj_tori:
+            tori.setdefault(t.torus_id, t)
+            ends.setdefault(t.end_a.block_id, []).append((t, "a"))
+            ends.setdefault(t.end_b.block_id, []).append((t, "b"))
+        for pairs in ends.values():
+            pairs.sort(key=lambda ts: (ts[0].torus_id, ts[1]))
+        return BlockIndex(
+            {b: tuple(pairs) for b, pairs in ends.items()},
+            tori,
+            frozenset(end.block_id for end in self.boundary_tori),
+        )
+
     def block_ids(self) -> list[str]:
         return sorted(self.blocks)
 
     def torus(self, torus_id: str) -> TorusEdge:
-        for t in self.jsj_tori:
-            if t.torus_id == torus_id:
-                return t
-        raise KeyError(torus_id)
+        return self.index.tori[torus_id]
 
     def ends_of(self, block_id: str) -> list[tuple[TorusEdge, str]]:
         """All JSJ ends on a block, as (edge, 'a'|'b') pairs, sorted."""
-        out = []
-        for t in self.jsj_tori:
-            if t.end_a.block_id == block_id:
-                out.append((t, "a"))
-            if t.end_b.block_id == block_id:
-                out.append((t, "b"))
-        out.sort(key=lambda ts: (ts[0].torus_id, ts[1]))
-        return out
+        return list(self.index.ends.get(block_id, ()))
 
     def neighbors(self, block_id: str) -> list[str]:
-        out = set()
-        for t, side in self.ends_of(block_id):
-            other = t.end_b if side == "a" else t.end_a
-            out.add(other.block_id)
-        return sorted(out)
+        return sorted(
+            {
+                (t.end_b if side == "a" else t.end_a).block_id
+                for t, side in self.index.ends.get(block_id, ())
+            }
+        )
 
 
 def fiber_slope(b: SeifertBlockData, boundary_index: int) -> Slope:
@@ -312,9 +340,8 @@ def validate(m: ManifoldGraph) -> ValidationReport:
     for end in m.boundary_tori:
         check_end(end, f"boundary {end}")
 
-    for end, count in sorted(end_uses.items()):
-        if count > 1:
-            problems.append(f"end {end}: used {count} times")
+    for end in sorted(e for e, count in end_uses.items() if count > 1):
+        problems.append(f"end {end}: used {end_uses[end]} times")
     for block_id in sorted(m.blocks):
         for i in range(m.blocks[block_id].num_boundary):
             end = TorusEnd(block_id, i)
@@ -338,7 +365,7 @@ def validate(m: ManifoldGraph) -> ValidationReport:
             if v in reached:
                 continue
             reached.add(v)
-            stack.extend(m.neighbors(v))
+            stack.extend(n for n in m.neighbors(v) if n not in reached)
         missing = [b for b in ids if b not in reached]
         if missing:
             problems.append(f"graph not connected: unreachable blocks {', '.join(missing)}")

@@ -1,9 +1,11 @@
 """Chargeless verdicts, Dehn filling, Euler numbers, classification."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from m3cube import charge, homology
 from m3cube.charge import (
     adjacent_fiber_slopes,
     classify_vcs,
@@ -52,6 +54,63 @@ def ring(middle_glue=SWAP):
             TorusEdge("T4", TorusEnd("S2", 1), TorusEnd("H", 1), GluingMatrix(1, 0, 0, 1)),
         ),
     )
+
+
+def long_ring(n, hyperbolic, twisted):
+    """Blocks B000.. in a closed ring, torus T<i> joining B<i>.1 to B<i+1>.0.
+
+    Seifert blocks have genus 0 and two ends; blocks listed in
+    ``hyperbolic`` are hyperbolic. Every torus is SWAP, so each interior
+    block sees (1,0) on both ends and is chargeless, except that torus
+    T<twisted> is SHEAR, which makes its two endpoints charged.
+    """
+    names = [f"B{i:03d}" for i in range(n)]
+    blocks = {
+        b: HyperbolicBlockData(2) if i in hyperbolic else SeifertBlockData(0, 2)
+        for i, b in enumerate(names)
+    }
+    tori = tuple(
+        TorusEdge(
+            f"T{i:03d}",
+            TorusEnd(names[i], 1),
+            TorusEnd(names[(i + 1) % n], 0),
+            SHEAR if i == twisted else SWAP,
+        )
+        for i in range(n)
+    )
+    return ManifoldGraph(blocks, tori)
+
+
+def test_classify_work_counts(monkeypatch):
+    # 200 blocks, 4 hyperbolic (one adjacent pair, which gets a thin block);
+    # the 6 Seifert neighbors of the hyperbolic blocks are not interior
+    hyperbolic = {10, 50, 51, 120}
+    m = long_ring(200, hyperbolic, twisted=150)
+    interior = 200 - len(hyperbolic) - 6
+    calls = Counter()
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(charge, "interior_blocks")
+    counting(charge, "presentation_h1")
+    counting(homology, "smith_normal_form")
+
+    verdict = classify_vcs(m)
+    assert len(verdict.block_verdicts) == interior
+    assert verdict.failing_blocks == ("B150", "B151")
+    charged = len(verdict.failing_blocks)
+    assert calls["interior_blocks"] == 1
+    assert calls["presentation_h1"] == interior
+    # kernel lattice for every block, plus the witness substitution check
+    # for each chargeless one
+    assert calls["smith_normal_form"] == 2 * (interior - charged) + charged
 
 
 def test_adjacent_fibers_transported():

@@ -1,7 +1,9 @@
 """Block graph surgery: thin insertion, clusters, trees, assembly plans."""
 
 import random
+from collections import Counter
 
+import networkx as nx
 import pytest
 
 from m3cube.decomposition import (
@@ -9,6 +11,7 @@ from m3cube.decomposition import (
     clusters,
     helly_intersection,
     interior_blocks,
+    is_interior,
     modify_jsj,
     plan_surface_assembly,
 )
@@ -147,6 +150,96 @@ def test_interior_blocks():
     )
     # S1 touches the hyperbolic block, S2 touches the manifold boundary
     assert interior_blocks(m) == ("B",)
+
+
+def random_block_graph(rng):
+    """A block graph whose tori pair up random free ends.
+
+    Small block counts make self-gluings and parallel tori common; other
+    ends go to the manifold boundary or stay unused. Block names and torus
+    ids are random, so their sorted order is not the record order.
+    """
+    names = rng.sample([f"b{i:02d}" for i in range(40)], rng.randint(1, 8))
+    blocks = {}
+    for name in names:
+        k = rng.randint(1, 5)
+        if rng.random() < 0.3:
+            blocks[name] = HyperbolicBlockData(k)
+        else:
+            blocks[name] = SeifertBlockData(rng.randint(0, 2), k)
+    free = [TorusEnd(b, i) for b in names for i in range(blocks[b].num_boundary)]
+    rng.shuffle(free)
+    ids = iter(rng.sample(range(1000), len(free)))
+    tori, boundary = [], []
+    while free:
+        roll = rng.random()
+        if roll < 0.6 and len(free) >= 2:
+            glue = rng.choice((SWAP, GluingMatrix(1, 0, 0, 1), GluingMatrix(1, -1, 0, 1)))
+            tori.append(TorusEdge(f"t{next(ids)}", free.pop(), free.pop(), glue))
+        elif roll < 0.9:
+            boundary.append(free.pop())
+        else:
+            free.pop()
+    return ManifoldGraph(blocks, tuple(tori), tuple(boundary))
+
+
+def test_block_index_matches_networkx_oracle():
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(300):
+        m = random_block_graph(rng)
+        G = nx.MultiGraph()
+        G.add_nodes_from(m.blocks)
+        for t in m.jsj_tori:
+            G.add_edge(t.end_a.block_id, t.end_b.block_id, key=t.torus_id, torus=t)
+        on_boundary = {end.block_id for end in m.boundary_tori}
+
+        def hyperbolic(b):
+            return isinstance(m.blocks[b], HyperbolicBlockData)
+
+        for u, v, key, data in G.edges(keys=True, data=True):
+            assert m.torus(key) == data["torus"]
+            seen["self-gluing"] += u == v
+            seen["parallel"] += u != v and G.number_of_edges(u, v) > 1
+        with pytest.raises(KeyError):
+            m.torus("no-such-torus")
+
+        expected_interior = []
+        for b in sorted(G):
+            incident = {d["torus"].torus_id: d["torus"] for _u, _v, d in G.edges(b, data=True)}
+            ends = [
+                (t, side)
+                for t in incident.values()
+                for side, end in (("a", t.end_a), ("b", t.end_b))
+                if end.block_id == b
+            ]
+            ends.sort(key=lambda ts: (ts[0].torus_id, ts[1]))
+            assert m.ends_of(b) == ends
+            assert m.neighbors(b) == sorted(G.neighbors(b))
+            interior = (
+                not hyperbolic(b)
+                and b not in on_boundary
+                and not any(hyperbolic(n) for n in G.neighbors(b))
+            )
+            assert is_interior(m, b) == interior
+            if interior:
+                expected_interior.append(b)
+        assert interior_blocks(m) == tuple(expected_interior)
+        seen["boundary"] += bool(m.boundary_tori)
+        seen["hyperbolic"] += any(map(hyperbolic, m.blocks))
+        seen["interior"] += bool(expected_interior)
+    assert min(seen[k] for k in ("self-gluing", "parallel", "boundary", "hyperbolic", "interior")) >= 20
+
+
+def test_ends_of_returns_a_fresh_list():
+    m = ManifoldGraph(
+        {"A": SeifertBlockData(0, 1), "B": SeifertBlockData(0, 1)},
+        (TorusEdge("T", TorusEnd("A", 0), TorusEnd("B", 0), SWAP),),
+    )
+    ends = m.ends_of("A")
+    ends.clear()
+    assert len(m.ends_of("A")) == 1
+    assert m.ends_of("missing") == [] and m.neighbors("missing") == []
 
 
 def test_helly_golden_path():

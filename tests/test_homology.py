@@ -85,6 +85,20 @@ def test_snf_random_properties(n, m, rng):
     check_snf(A)
 
 
+def test_snf_sparse_unit_and_nonunit_pivots():
+    # 0/+-1/+-k entries, up to 8x8: unit pivots end the pivot search early
+    # and skip the divisibility sweep, non-unit pivots go through both
+    rng = random.Random(11)
+    diagonals = []
+    for _ in range(120):
+        n, m, k = rng.randint(1, 8), rng.randint(1, 8), rng.randint(2, 6)
+        entries = (0, 0, 0, 1, -1, k, -k)
+        A = IntMatrix.from_rows([[rng.choice(entries) for _ in range(m)] for _ in range(n)])
+        diagonals.append(check_snf(A).diagonal())
+    assert sum(1 in d for d in diagonals) >= 30
+    assert sum(any(x > 1 for x in d) for d in diagonals) >= 30
+
+
 def test_abelian_invariants():
     # Z^3 / <(2,0,0),(0,3,0)> = Z/2 + Z/3 + Z ... invariant form Z + Z/6
     R = IntMatrix.from_rows([[2, 0], [0, 3], [0, 0]])
