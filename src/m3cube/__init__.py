@@ -36,7 +36,6 @@ from .cubecomplex import (
 from .decomposition import (
     AssemblyPlan,
     Tree,
-    clusters,
     helly_intersection,
     interior_blocks,
     is_interior,
@@ -84,7 +83,6 @@ from .wallspace import (
     Wall,
     Wallspace,
     dual_cube_complex,
-    max_crossing_family,
     torus_line_wallspace,
     validate_wallspace,
     walls_cross,

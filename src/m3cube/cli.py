@@ -26,6 +26,7 @@ from .errors import (
 from .fileformats import (
     parse_complex,
     parse_manifold,
+    parse_plan,
     parse_wallspace,
     serialize_complex,
     serialize_wallspace,
@@ -342,22 +343,7 @@ def _cmd_helly_demo(args) -> int:
 
 
 def _cmd_assembly_plan(args) -> int:
-    counts = {}
-    for lineno, raw in enumerate(_read(args.path).splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) != 5:
-            raise ParseError("expected: <torus id> <r> <s> <a> <b>", lineno)
-        tid = tokens[0]
-        if tid in counts:
-            raise ParseError(f"torus {tid!r} repeated", lineno)
-        try:
-            counts[tid] = tuple(int(t, 10) for t in tokens[1:])
-        except ValueError:
-            raise ParseError("counts must be integers", lineno) from None
-    plan = plan_surface_assembly(counts)
+    plan = plan_surface_assembly(parse_plan(_read(args.path)))
     if args.json:
         _emit_json(
             {

@@ -2,8 +2,6 @@
 
 The modified decomposition inserts thin T^2 x I blocks wherever a torus
 touches no Seifert block, so that afterwards every torus has a Seifert side.
-Cutting along the tori that touch a hyperbolic block then splits the graph
-into hyperbolic blocks and graph-manifold clusters, a bipartite picture.
 
 Also here: the Helly step for subtrees of a tree and the lcm bookkeeping
 that balances cap counts when parallel surface pieces are assembled.
@@ -19,7 +17,6 @@ from .errors import (
     EmptyInputError,
     InputError,
     NotATreeError,
-    NotModifiedError,
 )
 from .manifold import (
     IDENTITY_GLUING,
@@ -93,87 +90,6 @@ def modify_jsj(m: ManifoldGraph) -> ManifoldGraph:
 
     label = m.geometry_label if not edges else None
     return ManifoldGraph(blocks, tuple(edges), tuple(boundary), label)
-
-
-@dataclass(frozen=True)
-class Cluster:
-    """A piece of the transitional decomposition.
-
-    ``thin`` marks a graph cluster that is a single thin block.
-    """
-
-    kind: str  # "hyperbolic" or "graph"
-    blocks: tuple[str, ...]
-    thin: bool = False
-
-
-@dataclass(frozen=True)
-class ClusterPartition:
-    clusters: tuple[Cluster, ...]
-    transitional_tori: tuple[str, ...]
-
-
-def clusters(m: ManifoldGraph) -> ClusterPartition:
-    """Cut along the tori that touch a hyperbolic block.
-
-    Requires the modified graph: a torus with two hyperbolic sides raises
-    NotModifiedError. Components of what remains are single hyperbolic
-    blocks or graph-manifold clusters; every transitional torus joins one of
-    each, so the partition is bipartite.
-    """
-    def is_hyp(block_id: str) -> bool:
-        return isinstance(m.blocks[block_id], HyperbolicBlockData)
-
-    transitional: list[str] = []
-    internal: list[TorusEdge] = []
-    for t in m.jsj_tori:
-        hyp_sides = is_hyp(t.end_a.block_id) + is_hyp(t.end_b.block_id)
-        if hyp_sides == 2:
-            raise NotModifiedError(
-                f"torus {t.torus_id} has two hyperbolic sides; run modify_jsj first"
-            )
-        if hyp_sides == 1:
-            transitional.append(t.torus_id)
-        else:
-            internal.append(t)
-
-    adj: dict[str, set[str]] = {b: set() for b in m.blocks}
-    for t in internal:
-        adj[t.end_a.block_id].add(t.end_b.block_id)
-        adj[t.end_b.block_id].add(t.end_a.block_id)
-
-    seen: set[str] = set()
-    out: list[Cluster] = []
-    for start in sorted(m.blocks):
-        if start in seen:
-            continue
-        comp = set()
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(adj[v] - comp)
-        seen |= comp
-        ids = tuple(sorted(comp))
-        if any(is_hyp(b) for b in ids):
-            if len(ids) != 1:
-                raise AssertionError(f"hyperbolic block clustered with others: {ids}")
-            out.append(Cluster("hyperbolic", ids))
-        else:
-            thin = len(ids) == 1 and getattr(m.blocks[ids[0]], "is_thin", False)
-            out.append(Cluster("graph", ids, thin))
-
-    # bipartite sanity: each transitional torus joins a hyperbolic block to a
-    # Seifert cluster
-    for tid in transitional:
-        t = m.torus(tid)
-        kinds = {is_hyp(t.end_a.block_id), is_hyp(t.end_b.block_id)}
-        if kinds != {True, False}:
-            raise AssertionError(f"transitional torus {tid} is not bipartite")
-
-    return ClusterPartition(tuple(out), tuple(sorted(transitional)))
 
 
 def is_interior(m: ManifoldGraph, block_id: str) -> bool:

@@ -24,16 +24,8 @@ class IndexOutOfRangeError(InputError):
     """Boundary index beyond the block's boundary count."""
 
 
-class EmptyCurveSystemError(InputError):
-    """A torus was audited with no curves on either side."""
-
-
 class DimensionMismatchError(InputError):
     """Vectors or matrices of incompatible shapes."""
-
-
-class NotModifiedError(InputError):
-    """Operation requires the modified block graph (thin blocks inserted)."""
 
 
 class NotATreeError(InputError):

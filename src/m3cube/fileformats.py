@@ -1,11 +1,18 @@
-"""Text formats for manifolds (.m3), wallspaces (.ws), cube complexes (.cc).
+"""Text formats for manifolds (.m3), wallspaces (.ws), cube complexes (.cc)
+and cap plans (.plan).
 
-All three are line oriented UTF-8 with `#` comments. Parsing is exact:
-unknown keys, missing fields and non-integer tokens raise ParseError with
-a 1-based line and column. The manifold parser also performs semantic
-checks (determinants, index ranges, repeated ends) so that the first
-offending line is reported; whole-file problems (an unused boundary
-index, a disconnected graph) are reported against the last line.
+All are line oriented UTF-8 with `#` comments. Parsing is exact: unknown
+keys, missing fields and non-integer tokens raise ParseError with a 1-based
+line and column.
+
+A .m3 file is read whole before any rule is checked, so its records may
+come in any order and a syntax error anywhere is reported first. The
+reader itself rejects only what a ManifoldGraph cannot hold: a block id or
+a hyperbolic frame declared twice, a frame index outside its block, a
+second geometry record. ``manifold.validate`` decides every other rule,
+and the problem in the earliest record is reported at the line and column
+of that record or field; whole-graph problems (an unglued end, a
+disconnected graph) are reported against the last line.
 
 Serialization is deterministic: records sorted by id, one per line.
 serialize(parse(text)) reparses to an equal value.
@@ -18,7 +25,6 @@ import re
 from .cubecomplex import Cube, CubeComplex, validate_complex
 from .errors import ParseError
 from .manifold import (
-    GEOMETRY_LABELS,
     GluingMatrix,
     HyperbolicBlockData,
     ManifoldGraph,
@@ -31,17 +37,19 @@ from .manifold import (
 )
 from .wallspace import Wall, Wallspace, validate_wallspace
 
+_TOKEN_RE = re.compile(r"\S+")
+
 
 def _lines(text: str):
-    """Yield (lineno, line, tokens) with comments stripped.
+    """Yield (lineno, tokens) for each line with a token, comments stripped.
 
     Tokens are (column, string) pairs, columns 1-based.
     """
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        tokens = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
+        tokens = [(m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(line)]
         if tokens:
-            yield lineno, raw, tokens
+            yield lineno, tokens
 
 
 def _fail(msg: str, line: int, col: int = 1):
@@ -66,7 +74,7 @@ def _pairs(value: str, line: int, col: int) -> list[tuple[int, int]]:
         m = _PAIR_RE.match(value, pos)
         if not m:
             _fail(f"expected (p,q) pairs, got {value[pos:]!r}", line, col + pos)
-        out.append((int(m.group(1)), int(m.group(2))))
+        out.append(tuple(_int(g, line, col + pos) for g in m.groups()))
         pos = m.end()
     return out
 
@@ -83,25 +91,10 @@ def parse_manifold(text: str) -> ManifoldGraph:
     tori: list[TorusEdge] = []
     boundary: list[TorusEnd] = []
     geometry = None
-    torus_ids: set[str] = set()
-    used_ends: set[TorusEnd] = set()
+    where: dict[tuple, tuple[int, int]] = {}  # Problem.where -> (line, column)
     last_line = 1
 
-    def claim(end: TorusEnd, line: int, col: int) -> None:
-        if end.block_id not in blocks:
-            _fail(f"unknown block {end.block_id!r}", line, col)
-        n = blocks[end.block_id].num_boundary
-        if not 0 <= end.boundary_index < n:
-            _fail(
-                f"boundary index {end.boundary_index} out of range"
-                f" (block {end.block_id} has {n})",
-                line, col,
-            )
-        if end in used_ends:
-            _fail(f"end {end} already used", line, col)
-        used_ends.add(end)
-
-    for lineno, _raw, tokens in _lines(text):
+    for lineno, tokens in _lines(text):
         last_line = lineno
         (col0, kind) = tokens[0]
         rest = tokens[1:]
@@ -112,10 +105,11 @@ def parse_manifold(text: str) -> ManifoldGraph:
             (_, block_id), (kcol, bkind) = rest[0], rest[1]
             if block_id in blocks:
                 _fail(f"block {block_id!r} redeclared", lineno, rest[0][0])
+            where[("block", block_id)] = (lineno, col0)
             if bkind == "seifert":
                 blocks[block_id] = _parse_seifert(rest[2:], lineno)
             elif bkind == "hyperbolic":
-                blocks[block_id] = _parse_hyperbolic(rest[2:], lineno)
+                blocks[block_id] = _parse_hyperbolic(rest[2:], lineno, block_id, where)
             else:
                 _fail(f"unknown block kind {bkind!r}", lineno, kcol)
 
@@ -123,9 +117,6 @@ def parse_manifold(text: str) -> ManifoldGraph:
             if len(rest) != 4:
                 _fail("torus needs: <id> <endA> <endB> glue=...", lineno, col0)
             (_, tid), (acol, atok), (bcol, btok), (gcol, gtok) = rest
-            if tid in torus_ids:
-                _fail(f"torus {tid!r} redeclared", lineno, rest[0][0])
-            torus_ids.add(tid)
             end_a = _end(atok, lineno, acol)
             end_b = _end(btok, lineno, bcol)
             if not gtok.startswith("glue="):
@@ -134,28 +125,25 @@ def parse_manifold(text: str) -> ManifoldGraph:
             if len(parts) != 4:
                 _fail("glue needs four entries", lineno, gcol)
             a, b, c, d = (_int(p, lineno, gcol) for p in parts)
-            if a * d - b * c not in (1, -1):
-                _fail(f"glue determinant {a * d - b * c}, need +1 or -1", lineno, gcol)
-            claim(end_a, lineno, acol)
-            claim(end_b, lineno, bcol)
+            for field, (col, _tok) in zip(("id", "a", "b", "glue"), rest):
+                where[("torus", len(tori), field)] = (lineno, col)
             tori.append(TorusEdge(tid, end_a, end_b, GluingMatrix(a, b, c, d)))
 
         elif kind == "boundary":
             if len(rest) != 1:
                 _fail("boundary needs one <block>.<index>", lineno, col0)
             (ecol, etok) = rest[0]
-            end = _end(etok, lineno, ecol)
-            claim(end, lineno, ecol)
-            boundary.append(end)
+            where[("boundary", len(boundary), "end")] = (lineno, ecol)
+            boundary.append(_end(etok, lineno, ecol))
 
         elif kind == "geometry":
             if len(rest) != 1:
                 _fail("geometry needs one label", lineno, col0)
             (gcol, glabel) = rest[0]
-            if glabel not in GEOMETRY_LABELS:
-                _fail(f"unknown geometry label {glabel!r}", lineno, gcol)
             if geometry is not None:
                 _fail("geometry redeclared", lineno, gcol)
+            where[("geometry",)] = (lineno, col0)
+            where[("geometry", "label")] = (lineno, gcol)
             geometry = glabel
 
         else:
@@ -164,6 +152,10 @@ def parse_manifold(text: str) -> ManifoldGraph:
     m = ManifoldGraph(blocks, tuple(tori), tuple(boundary), geometry)
     report = validate(m)
     if not report.ok:
+        located = [(where[p.where], p.message) for p in report.violations if p.where in where]
+        if located:
+            (line, col), message = min(located, key=lambda pair: pair[0])
+            _fail(message, line, col)
         _fail("; ".join(report.problems), last_line)
     return m
 
@@ -188,28 +180,20 @@ def _parse_seifert(tokens, lineno) -> SeifertBlockData:
             _fail(f"unknown seifert field {tok!r}", lineno, col)
     if genus is None or boundaries is None:
         _fail("seifert block needs genus= and boundaries=", lineno)
-    for a, b in exceptional:
-        if a < 2:
-            _fail(f"exceptional fiber ({a},{b}) needs a >= 2", lineno)
-    if thin and (genus != 0 or boundaries != 2 or exceptional):
-        _fail(
-            "thin block must have genus 0, two boundary tori, no exceptional fibers",
-            lineno,
-        )
     return SeifertBlockData(genus, boundaries, exceptional, obstruction, thin)
 
 
 _FRAME_RE = re.compile(r"frame(\d+)=")
 
 
-def _parse_hyperbolic(tokens, lineno) -> HyperbolicBlockData:
+def _parse_hyperbolic(tokens, lineno, block_id, where) -> HyperbolicBlockData:
     boundaries = None
     frames: dict[int, tuple[Slope, Slope]] = {}
     for col, tok in tokens:
         if tok.startswith("boundaries="):
             boundaries = _int(tok[11:], lineno, col + 11)
         elif m := _FRAME_RE.match(tok):
-            idx = int(m.group(1))
+            idx = _int(m.group(1), lineno, col + 5)
             halves = tok[m.end():].split("|")
             if len(halves) != 2:
                 _fail("frame needs (p,q)|(p,q)", lineno, col)
@@ -225,6 +209,7 @@ def _parse_hyperbolic(tokens, lineno) -> HyperbolicBlockData:
             if idx in frames:
                 _fail(f"frame{idx} redeclared", lineno, col)
             frames[idx] = (slopes[0], slopes[1])
+            where[("block", block_id, f"frame{idx}")] = (lineno, col)
         else:
             _fail(f"unknown hyperbolic field {tok!r}", lineno, col)
     if boundaries is None:
@@ -290,7 +275,7 @@ def parse_wallspace(text: str) -> Wallspace:
             out.add(i)
         return frozenset(out)
 
-    for lineno, _raw, tokens in _lines(text):
+    for lineno, tokens in _lines(text):
         last_line = lineno
         (col0, kind) = tokens[0]
         rest = tokens[1:]
@@ -349,7 +334,7 @@ def parse_complex(text: str) -> CubeComplex:
     seen: set[str] = set()
     cubes: list[Cube] = []
     last_line = 1
-    for lineno, _raw, tokens in _lines(text):
+    for lineno, tokens in _lines(text):
         last_line = lineno
         (col0, kind) = tokens[0]
         rest = tokens[1:]
@@ -368,11 +353,10 @@ def parse_complex(text: str) -> CubeComplex:
             if d < 1:
                 _fail("cube dimension must be >= 1", lineno, rest[0][0])
             corners = [tok for _c, tok in rest[1:]]
-            if len(corners) != 2 ** d:
-                _fail(
-                    f"{d}-cube needs {2 ** d} corners, got {len(corners)}",
-                    lineno, col0,
-                )
+            n = len(corners)
+            if d != n.bit_length() - 1 or n != 1 << d:  # never builds 2^d for a huge d
+                need = 2 ** d if d < 64 else f"2^{d}"
+                _fail(f"{d}-cube needs {need} corners, got {n}", lineno, col0)
             cubes.append(Cube(d, tuple(corners)))
         else:
             _fail(f"unknown record {kind!r}", lineno, col0)
@@ -388,3 +372,16 @@ def serialize_complex(c: CubeComplex) -> str:
     for cube in sorted(c.cubes, key=lambda k: (k.dim, tuple(map(str, k.corners)))):
         out.append(f"cube {cube.dim} " + " ".join(map(str, cube.corners)))
     return "\n".join(out) + "\n"
+
+
+def parse_plan(text: str) -> dict[str, tuple[int, int, int, int]]:
+    """Read one `<torus id> r s a b` line per torus into {id: (r, s, a, b)}."""
+    counts = {}
+    for lineno, tokens in _lines(text):
+        if len(tokens) != 5:
+            _fail("expected: <torus id> <r> <s> <a> <b>", lineno, tokens[0][0])
+        (tcol, tid), *values = tokens
+        if tid in counts:
+            _fail(f"torus {tid!r} repeated", lineno, tcol)
+        counts[tid] = tuple(_int(tok, lineno, col) for col, tok in values)
+    return counts

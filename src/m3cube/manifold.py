@@ -7,20 +7,18 @@ of an edge converts coordinates from the ``end_a`` side to the ``end_b`` side.
 
 Value types here are immutable. Constructors stay permissive so that broken
 graphs can be represented and reported; ``validate`` is the gatekeeper and
-lists every violation it finds.
+the only place that decides whether a graph is valid. It lists every
+violation it finds with the record it concerns, which the parser turns
+into a line and column.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (
-    EmptyCurveSystemError,
-    IndexOutOfRangeError,
-    ZeroVectorError,
-)
+from .errors import IndexOutOfRangeError, ZeroVectorError
 
 GEOMETRY_LABELS = (
     "H3",
@@ -256,12 +254,34 @@ def fiber_slope(b: SeifertBlockData, boundary_index: int) -> Slope:
 
 
 @dataclass(frozen=True)
+class Problem:
+    """One violation found by ``validate``.
+
+    ``where`` names the record at fault and, when one field is, that field:
+    ``("block", id)``, ``("block", id, "frame<i>")``, ``("torus", i, f)``
+    for f in id, a, b, glue, ``("boundary", j, "end")``, ``("geometry",)``
+    or ``("geometry", "label")``; it is ``()`` for whole-graph problems.
+    """
+
+    where: tuple
+    owner: str | None
+    message: str
+
+    def __str__(self):
+        return f"{self.owner}: {self.message}" if self.owner else self.message
+
+
+@dataclass(frozen=True)
 class ValidationReport:
-    problems: tuple[str, ...] = ()
+    violations: tuple[Problem, ...] = ()
+
+    @property
+    def problems(self) -> tuple[str, ...]:
+        return tuple(map(str, self.violations))
 
     @property
     def ok(self) -> bool:
-        return not self.problems
+        return not self.violations
 
     def __str__(self):
         if self.ok:
@@ -269,92 +289,100 @@ class ValidationReport:
         return "\n".join(self.problems)
 
 
-def _block_problems(block_id: str, data: BlockData) -> list[str]:
-    out = []
+def _block_problems(block_id: str, data: BlockData) -> list[Problem]:
+    out: list[Problem] = []
+
+    def add(message: str, field: tuple = ()) -> None:
+        out.append(Problem(("block", block_id) + field, f"block {block_id}", message))
+
     if isinstance(data, SeifertBlockData):
         if data.genus < 0:
-            out.append(f"block {block_id}: negative genus {data.genus}")
+            add(f"negative genus {data.genus}")
         if data.num_boundary < 0:
-            out.append(f"block {block_id}: negative boundary count")
+            add("negative boundary count")
         for a, b in data.exceptional:
             if a < 2:
-                out.append(f"block {block_id}: exceptional fiber ({a},{b}) needs a >= 2")
+                add(f"exceptional fiber ({a},{b}) needs a >= 2")
         if data.is_thin and (
             data.genus != 0 or data.num_boundary != 2 or data.exceptional
         ):
-            out.append(
-                f"block {block_id}: thin block must have genus 0, two boundary tori,"
-                " no exceptional fibers"
-            )
+            add("thin block must have genus 0, two boundary tori, no exceptional fibers")
     elif isinstance(data, HyperbolicBlockData):
         if data.num_boundary < 1:
-            out.append(f"block {block_id}: hyperbolic block needs at least one torus end")
+            add("hyperbolic block needs at least one torus end")
         if data.framings:
             if len(data.framings) != data.num_boundary:
-                out.append(
-                    f"block {block_id}: framing list length {len(data.framings)}"
+                add(
+                    f"framing list length {len(data.framings)}"
                     f" != boundary count {data.num_boundary}"
                 )
             for i, pair in enumerate(data.framings):
                 if pair is not None and pair[0] == pair[1]:
-                    out.append(
-                        f"block {block_id}: framing {i} repeats the slope {pair[0]}"
-                    )
+                    # one line may carry several frames, so name the field
+                    add(f"framing {i} repeats the slope {pair[0]}", (f"frame{i}",))
     else:
-        out.append(f"block {block_id}: unknown block data {type(data).__name__}")
+        add(f"unknown block data {type(data).__name__}")
     return out
 
 
 def validate(m: ManifoldGraph) -> ValidationReport:
-    """Check every structural invariant; the report lists all violations."""
-    problems: list[str] = []
+    """Check every structural invariant; the report lists all violations.
+
+    An end is reported as already used at each use after its first, with
+    tori taken before boundary ends.
+    """
+    problems: list[Problem] = []
+
+    def add(where: tuple, owner: str | None, message: str) -> None:
+        problems.append(Problem(where, owner, message))
 
     for block_id in sorted(m.blocks):
         problems.extend(_block_problems(block_id, m.blocks[block_id]))
 
     seen_tori: set[str] = set()
-    end_uses: dict[TorusEnd, int] = {}
+    used: set[TorusEnd] = set()
 
-    def check_end(end: TorusEnd, owner: str) -> None:
+    def check_end(end: TorusEnd, where: tuple, owner: str) -> None:
         if end.block_id not in m.blocks:
-            problems.append(f"{owner}: unknown block {end.block_id}")
+            add(where, owner, f"unknown block {end.block_id!r}")
             return
         n = m.blocks[end.block_id].num_boundary
         if not 0 <= end.boundary_index < n:
-            problems.append(
-                f"{owner}: boundary index {end.boundary_index} out of range for"
-                f" block {end.block_id} (has {n})"
+            add(
+                where, owner,
+                f"boundary index {end.boundary_index} out of range"
+                f" (block {end.block_id} has {n})",
             )
-            return
-        end_uses[end] = end_uses.get(end, 0) + 1
+        elif end in used:
+            add(where, owner, f"end {end} already used")
+        used.add(end)
 
-    for t in m.jsj_tori:
+    for i, t in enumerate(m.jsj_tori):
+        owner = f"torus {t.torus_id}"
         if t.torus_id in seen_tori:
-            problems.append(f"torus {t.torus_id}: duplicate torus id")
+            add(("torus", i, "id"), owner, "duplicate torus id")
         seen_tori.add(t.torus_id)
-        check_end(t.end_a, f"torus {t.torus_id}")
-        check_end(t.end_b, f"torus {t.torus_id}")
+        check_end(t.end_a, ("torus", i, "a"), owner)
+        check_end(t.end_b, ("torus", i, "b"), owner)
         if t.glue.det not in (1, -1):
-            problems.append(f"torus {t.torus_id}: gluing determinant {t.glue.det} is not +-1")
+            add(("torus", i, "glue"), owner, f"glue determinant {t.glue.det}, need +1 or -1")
 
-    for end in m.boundary_tori:
-        check_end(end, f"boundary {end}")
+    for j, end in enumerate(m.boundary_tori):
+        check_end(end, ("boundary", j, "end"), f"boundary {end}")
 
-    for end in sorted(e for e, count in end_uses.items() if count > 1):
-        problems.append(f"end {end}: used {end_uses[end]} times")
     for block_id in sorted(m.blocks):
         for i in range(m.blocks[block_id].num_boundary):
             end = TorusEnd(block_id, i)
-            if end not in end_uses:
-                problems.append(f"end {end}: not glued and not declared as boundary")
+            if end not in used:
+                add((), f"end {end}", "not glued and not declared as boundary")
 
     if m.geometry_label is not None:
         if m.geometry_label not in GEOMETRY_LABELS:
-            problems.append(f"geometry label {m.geometry_label!r} unknown")
+            add(("geometry", "label"), None, f"unknown geometry label {m.geometry_label!r}")
         if m.jsj_tori:
-            problems.append("geometry label given although JSJ tori are present")
+            add(("geometry",), None, "geometry label given although JSJ tori are present")
         if len(m.blocks) != 1:
-            problems.append("geometry label requires a single block")
+            add(("geometry",), None, "geometry label requires a single block")
 
     if len(m.blocks) > 1:
         reached = set()
@@ -368,47 +396,6 @@ def validate(m: ManifoldGraph) -> ValidationReport:
             stack.extend(n for n in m.neighbors(v) if n not in reached)
         missing = [b for b in ids if b not in reached]
         if missing:
-            problems.append(f"graph not connected: unreachable blocks {', '.join(missing)}")
+            add((), None, f"graph not connected: unreachable blocks {', '.join(missing)}")
 
     return ValidationReport(tuple(problems))
-
-
-@dataclass(frozen=True)
-class SlopeAudit:
-    """Distinct slope count on one torus after transport to the end_a basis."""
-
-    torus_id: str
-    slopes: tuple[Slope, ...]
-    count: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "count", len(self.slopes))
-
-    @property
-    def ok(self) -> bool:
-        # two distinct slopes per torus is what the cubulation construction needs
-        return self.count == 2
-
-
-def audit_torus_slopes(
-    m: ManifoldGraph,
-    curves: dict[str, tuple[list[Slope], list[Slope]]],
-) -> dict[str, SlopeAudit]:
-    """Count distinct curve slopes per torus, side B transported to side A.
-
-    ``curves[torus_id]`` holds the slopes contributed by the end_a side and
-    the end_b side in their own bases. Raises EmptyCurveSystemError when a
-    torus is listed with no curves at all.
-    """
-    out: dict[str, SlopeAudit] = {}
-    for torus_id in sorted(curves):
-        edge = m.torus(torus_id)
-        side_a, side_b = curves[torus_id]
-        if not side_a and not side_b:
-            raise EmptyCurveSystemError(f"torus {torus_id} has no curves")
-        back = edge.glue.inverse()
-        seen = set(side_a)
-        for s in side_b:
-            seen.add(transport_slope(s, back))
-        out[torus_id] = SlopeAudit(torus_id, tuple(sorted(seen)))
-    return out

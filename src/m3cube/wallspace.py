@@ -227,34 +227,3 @@ def torus_line_wallspace(slopes: Sequence[Slope], window: int) -> Wallspace:
         pos = frozenset(i for i, sv in enumerate(ordered) if sv[k] > 0)
         walls.append(Wall(f"{s.p}/{s.q}@{c}", neg, pos))
     return Wallspace(tuple(range(len(ordered))), tuple(walls))
-
-
-def max_crossing_family(ws: Wallspace) -> tuple[int, tuple[str, ...]]:
-    """Exact maximum set of pairwise-crossing walls (branch and bound)."""
-    problems = validate_wallspace(ws)
-    if problems:
-        raise InputError("invalid wallspace: " + "; ".join(problems))
-    walls = ws.walls
-    n = len(walls)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and walls_cross(walls[i], walls[j]):
-                adj[i] |= 1 << j
-
-    best: tuple[int, tuple[int, ...]] = (0, ())
-
-    def expand(current: tuple[int, ...], cand: int) -> None:
-        nonlocal best
-        if len(current) > best[0]:
-            best = (len(current), current)
-        while cand:
-            if len(current) + cand.bit_count() <= best[0]:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            expand(current + (v,), cand & adj[v])
-
-    expand((), (1 << n) - 1)
-    size, members = best
-    return size, tuple(walls[i].wall_id for i in members)

@@ -15,7 +15,6 @@ from m3cube.charge import (
     is_chargeless_manifold,
     render_charge_report,
 )
-from m3cube.decomposition import modify_jsj
 from m3cube.errors import (
     FiberFillingError,
     InputError,

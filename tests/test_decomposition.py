@@ -1,4 +1,4 @@
-"""Block graph surgery: thin insertion, clusters, trees, assembly plans."""
+"""Block graph surgery: thin insertion, trees, assembly plans."""
 
 import random
 from collections import Counter
@@ -8,7 +8,6 @@ import pytest
 
 from m3cube.decomposition import (
     Tree,
-    clusters,
     helly_intersection,
     interior_blocks,
     is_interior,
@@ -19,7 +18,6 @@ from m3cube.errors import (
     EmptyInputError,
     InputError,
     NotATreeError,
-    NotModifiedError,
 )
 from m3cube.manifold import (
     GluingMatrix,
@@ -97,40 +95,6 @@ def test_modify_keeps_seifert_graphs_alone():
         (TorusEdge("T", TorusEnd("A", 0), TorusEnd("B", 0), SWAP),),
     )
     assert modify_jsj(m) == m
-
-
-def test_clusters_requires_modified_graph():
-    with pytest.raises(NotModifiedError):
-        clusters(hyp_pair())
-
-
-def test_clusters_bipartite_partition():
-    m = modify_jsj(hyp_pair())
-    part = clusters(m)
-    kinds = sorted(c.kind for c in part.clusters)
-    assert kinds == ["graph", "hyperbolic", "hyperbolic"]
-    (graph_cluster,) = [c for c in part.clusters if c.kind == "graph"]
-    assert graph_cluster.thin
-    assert len(part.transitional_tori) == 2
-
-
-def test_clusters_groups_seifert_blocks():
-    m = ManifoldGraph(
-        {
-            "H": HyperbolicBlockData(1),
-            "S1": SeifertBlockData(1, 2),
-            "S2": SeifertBlockData(1, 1),
-        },
-        (
-            TorusEdge("T1", TorusEnd("H", 0), TorusEnd("S1", 0), SWAP),
-            TorusEdge("T2", TorusEnd("S1", 1), TorusEnd("S2", 0), SWAP),
-        ),
-    )
-    part = clusters(m)
-    by_kind = {c.kind: c for c in part.clusters}
-    assert by_kind["graph"].blocks == ("S1", "S2")
-    assert not by_kind["graph"].thin
-    assert part.transitional_tori == ("T1",)
 
 
 def test_interior_blocks():

@@ -1,17 +1,29 @@
 """Text formats: parsing, serialization, and error positions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from m3cube.errors import ParseError
 from m3cube.fileformats import (
     parse_complex,
     parse_manifold,
+    parse_plan,
     parse_wallspace,
     serialize_complex,
     serialize_manifold,
     serialize_wallspace,
 )
-from m3cube.manifold import Slope
+from m3cube.manifold import (
+    GluingMatrix,
+    HyperbolicBlockData,
+    ManifoldGraph,
+    SeifertBlockData,
+    Slope,
+    TorusEdge,
+    TorusEnd,
+    validate,
+)
 from m3cube.wallspace import torus_line_wallspace
 
 MIXED = """\
@@ -73,6 +85,19 @@ def test_manifold_comments_and_blanks_ignored():
         ("block A seifert genus=0 boundaries=1 b=0\ntorus T A.0 glue=0,1,1,0\n", "torus needs", 2, 1),
         ("block A seifert genus=0 boundaries=0 b=0\ngeometry Spherical\n", "unknown geometry label", 2, 10),
         ("boundary A.0 A.1\n", "boundary needs one", 1, 1),
+        # a syntax error anywhere beats a rule violation on an earlier line
+        ("block A seifert genus=1 boundaries=2 b=0\ntorus T A.0 A.0 glue=1,0,0,2\nblok\n", "unknown record", 3, 1),
+        # the earliest record wins, although validate lists tori first
+        ("block A seifert genus=1 boundaries=2 b=0\nboundary Z.0\ntorus T A.0 A.1 glue=1,0,0,2\n", "unknown block 'Z'", 2, 10),
+        # integers too long for int() to convert by default (Python >= 3.10.7)
+        pytest.param(
+            f"block A seifert genus=0 boundaries=0 exceptional=({'9' * 4400},1) b=0\n",
+            "expected an integer", 1, 50, id="long-integer-in-pair",
+        ),
+        pytest.param(
+            f"block H hyperbolic boundaries=1 frame{'9' * 4400}=(1,0)|(0,1)\n",
+            "expected an integer", 1, 38, id="long-frame-index",
+        ),
     ],
 )
 def test_manifold_error_positions(text, fragment, line, column):
@@ -88,6 +113,239 @@ def test_manifold_net_validation_reported_at_end():
     e = err(parse_manifold, "block A seifert genus=0 boundaries=1 b=0\n")
     assert "not glued" in str(e)
     assert e.line == 1
+
+
+def end(name):
+    block, _, index = name.partition(".")
+    return TorusEnd(block, int(index))
+
+
+def torus(tid, a, b, glue=(0, 1, 1, 0)):
+    return TorusEdge(tid, end(a), end(b), GluingMatrix(*glue))
+
+
+SFS = SeifertBlockData(1, 1)
+B_AND_T = "block B seifert genus=1 boundaries=1 b=0\ntorus T A.0 B.0 glue=0,1,1,0\n"
+X10 = (Slope(1, 0), Slope(1, 0))
+
+# One case per rule of manifold.validate: the .m3 text breaks only that
+# rule, the graph is the same input built directly, and (line, column) is
+# where the parser must point. Whole-graph rules point at the last line.
+RULE_CASES = [
+    (
+        "  block A seifert genus=-1 boundaries=1 b=0\n" + B_AND_T,
+        ManifoldGraph({"A": SeifertBlockData(-1, 1), "B": SFS}, (torus("T", "A.0", "B.0"),)),
+        "negative genus -1", 1, 3,
+    ),
+    (
+        "block A seifert genus=1 boundaries=-1 b=0\ngeometry S3\n",
+        ManifoldGraph({"A": SeifertBlockData(1, -1)}, geometry_label="S3"),
+        "negative boundary count", 1, 1,
+    ),
+    (
+        "block A seifert genus=0 boundaries=1 exceptional=(2,1)(0,1) b=0\n" + B_AND_T,
+        ManifoldGraph(
+            {"A": SeifertBlockData(0, 1, ((2, 1), (0, 1))), "B": SFS},
+            (torus("T", "A.0", "B.0"),),
+        ),
+        "exceptional fiber (0,1) needs a >= 2", 1, 1,
+    ),
+    (
+        "boundary A.0\nblock A seifert genus=1 boundaries=2 b=0 thin\nboundary A.1\n",
+        ManifoldGraph(
+            {"A": SeifertBlockData(1, 2, is_thin=True)}, boundary_tori=(end("A.0"), end("A.1"))
+        ),
+        "thin block must have genus 0", 2, 1,
+    ),
+    (
+        "block H hyperbolic boundaries=0\ngeometry H3\n",
+        ManifoldGraph({"H": HyperbolicBlockData(0)}, geometry_label="H3"),
+        "needs at least one torus end", 1, 1,
+    ),
+    (
+        "block H hyperbolic boundaries=2 frame0=(1,0)|(1,0)\nboundary H.0\nboundary H.1\n",
+        ManifoldGraph({"H": HyperbolicBlockData(2, (X10, None))}, boundary_tori=(end("H.0"), end("H.1"))),
+        "framing 0 repeats the slope (1,0)", 1, 33,
+    ),
+    (
+        "block A seifert genus=1 boundaries=2 b=0\nblock B seifert genus=1 boundaries=2 b=0\n"
+        "torus T A.0 B.0 glue=0,1,1,0\ntorus T A.1 B.1 glue=0,1,1,0\n",
+        ManifoldGraph(
+            {"A": SeifertBlockData(1, 2), "B": SeifertBlockData(1, 2)},
+            (torus("T", "A.0", "B.0"), torus("T", "A.1", "B.1")),
+        ),
+        "duplicate torus id", 4, 7,
+    ),
+    (
+        "torus T A.0 C.0 glue=0,1,1,0\nblock A seifert genus=1 boundaries=1 b=0\n",
+        ManifoldGraph({"A": SFS}, (torus("T", "A.0", "C.0"),)),
+        "unknown block 'C'", 1, 13,
+    ),
+    (
+        "block A seifert genus=1 boundaries=1 b=0\nboundary A.3\nboundary A.0\n",
+        ManifoldGraph({"A": SFS}, boundary_tori=(end("A.3"), end("A.0"))),
+        "boundary index 3 out of range (block A has 1)", 2, 10,
+    ),
+    (
+        "block A seifert genus=1 boundaries=2 b=0\nboundary  A.1\ntorus T A.0 A.1 glue=0,1,1,0\n",
+        ManifoldGraph(
+            {"A": SeifertBlockData(1, 2)}, (torus("T", "A.0", "A.1"),), (end("A.1"),)
+        ),
+        "end A.1 already used", 2, 11,
+    ),
+    (
+        "block A seifert genus=1 boundaries=1 b=0\nblock B seifert genus=1 boundaries=1 b=0\n"
+        "torus T A.0 B.0 glue=1,0,0,2\n# end\n",
+        ManifoldGraph({"A": SFS, "B": SFS}, (torus("T", "A.0", "B.0", (1, 0, 0, 2)),)),
+        "glue determinant 2, need +1 or -1", 3, 17,
+    ),
+    (
+        "block A seifert genus=1 boundaries=2 b=0\nboundary A.0\n# tail\n",
+        ManifoldGraph({"A": SeifertBlockData(1, 2)}, boundary_tori=(end("A.0"),)),
+        "end A.1: not glued and not declared as boundary", 2, 1,
+    ),
+    (
+        "geometry  Spherical\nblock A seifert genus=1 boundaries=0 b=0\n",
+        ManifoldGraph({"A": SeifertBlockData(1, 0)}, geometry_label="Spherical"),
+        "unknown geometry label 'Spherical'", 1, 11,
+    ),
+    (
+        "geometry E3\nblock A seifert genus=0 boundaries=2 b=0\ntorus T A.0 A.1 glue=0,1,1,0\n",
+        ManifoldGraph({"A": SeifertBlockData(0, 2)}, (torus("T", "A.0", "A.1"),), geometry_label="E3"),
+        "JSJ tori are present", 1, 1,
+    ),
+    (
+        "geometry E3\n",
+        ManifoldGraph({}, geometry_label="E3"),
+        "requires a single block", 1, 1,
+    ),
+    (
+        "block A seifert genus=1 boundaries=0 b=0\nblock B seifert genus=1 boundaries=0 b=0\n"
+        "block C seifert genus=1 boundaries=0 b=0\n",
+        ManifoldGraph({b: SeifertBlockData(1, 0) for b in "ABC"}),
+        "graph not connected: unreachable blocks B, C", 3, 1,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text,graph,fragment,line,column", RULE_CASES, ids=[c[2] for c in RULE_CASES]
+)
+def test_rule_violation_positions(text, graph, fragment, line, column):
+    e = err(parse_manifold, text)
+    assert fragment in str(e)
+    assert (e.line, e.column) == (line, column)
+    (problem,) = validate(graph).problems
+    assert fragment in problem
+
+
+def test_parse_plan_reads_counts():
+    assert parse_plan("# r s a b\nT1 1 2 2 3\n\nT2 2 0 4 5  # tail\n") == {
+        "T1": (1, 2, 2, 3),
+        "T2": (2, 0, 4, 5),
+    }
+
+
+@pytest.mark.parametrize(
+    "text,fragment,line,column",
+    [
+        ("T1 1 2 2\n", "expected: <torus id> <r> <s> <a> <b>", 1, 1),
+        ("T1 1 2 2 3\n  T1 1 1 1 1\n", "torus 'T1' repeated", 2, 3),
+        ("T1 1 2 x 3\n", "expected an integer, got 'x'", 1, 8),
+    ],
+)
+def test_plan_error_positions(text, fragment, line, column):
+    e = err(parse_plan, text)
+    assert fragment in str(e)
+    assert (e.line, e.column) == (line, column)
+
+
+# Token soup: every parser must reject malformed text with ParseError and
+# nothing else. Records are drawn near-valid so that many files get past
+# the syntax checks into validation. Counts stay small: this checks which
+# exceptions escape, not how long a huge declared size takes.
+JUNK = st.text(alphabet="AB01.,()|=-#x", min_size=1, max_size=5)
+
+
+def _tok(words):
+    """A token from words (letters, a list or a strategy); junk one time in 50."""
+    if isinstance(words, (str, list)):
+        words = st.sampled_from(words)
+    return st.integers(0, 49).flatmap(lambda r: JUNK if r == 0 else words)
+
+
+def _line(*parts):
+    """A record line: each part is a token or a list of tokens."""
+
+    def flat(ps):
+        return " ".join(t for p in ps for t in ([p] if isinstance(p, str) else p))
+
+    return st.tuples(*parts).map(flat)
+
+
+def _soup(*records):
+    """Up to eight lines of near-valid records, a junk line one time in fifty."""
+    lines = _tok(st.one_of(*records))
+    return st.lists(lines, max_size=8).map("\n".join)
+
+
+BIG = "9" * 4400  # longer than int() converts by default on Python >= 3.10.7
+ENDS = ["A.0", "A.1", "B.0", "B.1", "C.0", "A.5", "A.", "x.0"]
+SEIFERT = [
+    "b=0", "b=2", "thin", "exceptional=(2,1)", "exceptional=(2,1)(3,-1)",
+    "exceptional=(0,1)", "exceptional=(1,1)(", f"exceptional=({BIG},1)",
+]
+FRAMES = [
+    "frame0=(1,0)|(0,1)", "frame0=(1,0)|(1,0)", "frame1=(0,1)|(1,1)", "frame3=(1,0)|(0,1)",
+    "frame0=(0,0)|(1,0)", "frame0=(1,0)", "frame0=(2,4)|(1,0)", f"frame{BIG}=(1,0)|(0,1)",
+    f"frame0=(1,{BIG})|(1,0)",
+]
+BOUNDARIES = ["boundaries=0", "boundaries=1", "boundaries=2", "boundaries=-1"]
+GLUES = ["glue=0,1,1,0", "glue=1,0,0,1", "glue=1,-1,0,1", "glue=1,0,0,2", "glue=1,2,3"]
+
+
+def _half(side):
+    return _tok(st.lists(st.integers(-1, 4), max_size=4).map(
+        lambda xs: side + "=" + ",".join(map(str, xs))
+    ))
+
+
+FUZZ = {
+    "m3": (parse_manifold, _soup(
+        _line(st.just("block"), _tok("ABC"), st.just("seifert"),
+              _tok(["genus=0", "genus=1", "genus=-1", f"genus={BIG}"]), _tok(BOUNDARIES),
+              st.lists(_tok(SEIFERT), max_size=2)),
+        _line(st.just("block"), _tok("ABC"), st.just("hyperbolic"), _tok(BOUNDARIES),
+              st.lists(_tok(FRAMES), max_size=2)),
+        _line(st.just("torus"), _tok("TUV"), _tok(ENDS), _tok(ENDS), _tok(GLUES)),
+        _line(st.just("boundary"), _tok(ENDS)),
+        _tok(st.sampled_from(["geometry E3", "geometry Spherical"])),
+    )),
+    "ws": (parse_wallspace, _soup(
+        _line(st.just("chambers"), _tok("01234")),
+        _line(st.just("wall"), _tok("wxy"), _half("U"), _half("V")),
+    )),
+    "cc": (parse_complex, _soup(
+        _line(st.just("vertex"), _tok("abcd")),
+        _line(st.just("cube"), _tok(["0", "1", "2", "3", "20000", BIG]),
+              st.lists(_tok("abcde"), max_size=8)),
+    )),
+    "plan": (parse_plan, _soup(
+        _line(_tok(["T1", "T2"]), st.lists(_tok(["0", "1", "2", "-1", BIG]), min_size=4, max_size=4)),
+    )),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_token_soup_raises_only_parse_error(kind, data):
+    parse, soup = FUZZ[kind]
+    text = data.draw(soup)
+    try:
+        parse(text)
+    except ParseError:
+        pass
 
 
 def test_parse_wallspace_round_trip():
@@ -138,6 +396,7 @@ def test_parse_complex_round_trip():
         ("vertex a\nvertex b\ncube 2 a b\n", "needs 4 corners", 3),
         ("vertex a\ncube 1 a z\n", "unknown vertex", 2),
         ("vertex a\ncube 1 a a\n", "degenerate edge", 2),
+        ("vertex a\ncube 20000 a\n", "20000-cube needs 2^20000 corners", 2),
         ("simplex 1 a b\n", "unknown record", 1),
     ],
 )

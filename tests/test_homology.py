@@ -25,7 +25,7 @@ from m3cube.homology import (
     solve_column_image,
     vanishing_coordinate,
 )
-from m3cube.manifold import SeifertBlockData, Slope
+from m3cube.manifold import SeifertBlockData
 
 
 def det(rows):

@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from m3cube.errors import (
-    EmptyCurveSystemError,
-    IndexOutOfRangeError,
-    ZeroVectorError,
-)
+from m3cube.errors import IndexOutOfRangeError, ZeroVectorError
 from m3cube.manifold import (
     GluingMatrix,
     HyperbolicBlockData,
@@ -19,7 +15,6 @@ from m3cube.manifold import (
     Slope,
     TorusEdge,
     TorusEnd,
-    audit_torus_slopes,
     fiber_slope,
     slope_normalize,
     transport_slope,
@@ -123,7 +118,7 @@ def test_validate_names_shared_end():
         (TorusEnd("A", 1),),
     )
     report = validate(m)
-    assert any("A.0" in p and "2 times" in p for p in report.problems)
+    assert any("A.0" in p and "already used" in p for p in report.problems)
 
 
 def test_validate_names_bad_determinant():
@@ -193,16 +188,27 @@ def test_duplicate_torus_id_first_wins():
     assert any("duplicate torus id" in p for p in validate(m).problems)
 
 
-def test_audit_counts_distinct_transported_slopes():
-    # swap gluing sends the far fiber (0,1) to (1,0); the near side adds (0,1)
-    m = two_block_graph()
-    audits = audit_torus_slopes(m, {"T": ([Slope(0, 1)], [Slope(0, 1)])})
-    a = audits["T"]
-    assert a.count == 2 and a.ok
-    assert set(a.slopes) == {Slope(0, 1), Slope(1, 0)}
-
-    same = audit_torus_slopes(m, {"T": ([Slope(1, 0)], [Slope(0, 1)])})
-    assert same["T"].count == 1 and not same["T"].ok
-
-    with pytest.raises(EmptyCurveSystemError):
-        audit_torus_slopes(m, {"T": ([], [])})
+def test_problems_name_their_record_and_field():
+    m = ManifoldGraph(
+        {
+            "A": SeifertBlockData(1, 2),
+            "H": HyperbolicBlockData(1, ((Slope(1, 0), Slope(1, 0)),)),
+        },
+        (
+            TorusEdge("T", TorusEnd("A", 0), TorusEnd("Z", 0), GluingMatrix(1, 0, 0, 2)),
+            TorusEdge("U", TorusEnd("A", 1), TorusEnd("H", 0), GluingMatrix(0, 1, 1, 0)),
+        ),
+        (TorusEnd("A", 1),),
+        geometry_label="Spherical",
+    )
+    report = validate(m)
+    assert [(p.where, str(p)) for p in report.violations] == [
+        (("block", "H", "frame0"), "block H: framing 0 repeats the slope (1,0)"),
+        (("torus", 0, "b"), "torus T: unknown block 'Z'"),
+        (("torus", 0, "glue"), "torus T: glue determinant 2, need +1 or -1"),
+        (("boundary", 0, "end"), "boundary A.1: end A.1 already used"),
+        (("geometry", "label"), "unknown geometry label 'Spherical'"),
+        (("geometry",), "geometry label given although JSJ tori are present"),
+        (("geometry",), "geometry label requires a single block"),
+    ]
+    assert report.problems == tuple(str(p) for p in report.violations)

@@ -13,7 +13,6 @@ from m3cube.wallspace import (
     Wall,
     Wallspace,
     dual_cube_complex,
-    max_crossing_family,
     torus_line_wallspace,
     validate_wallspace,
     walls_cross,
@@ -76,7 +75,6 @@ def test_pairwise_crossing_walls_give_one_k_cube(k):
     assert len(edges) == k * 2 ** (k - 1)
     assert len([q for q in c.cubes if q.dim == k]) == 1
     assert dimension(c) == k
-    assert max_crossing_family(hypercube_walls(k))[0] == k
 
 
 def test_dual_orientations_match_brute_force():
@@ -208,28 +206,6 @@ def test_torus_chambers_match_grid_sampling(slopes):
         rebuilt.add(tuple(sv))
     assert rebuilt == set(sampled)
     assert len(rebuilt) == len(ws.chambers)
-
-
-def test_max_crossing_family_on_torus_walls():
-    for n, slopes in [
-        (1, (Slope(1, 0),)),
-        (2, (Slope(1, 0), Slope(0, 1))),
-        (3, (Slope(1, 0), Slope(0, 1), Slope(1, 1))),
-    ]:
-        ws = torus_line_wallspace(slopes, 1)
-        size, family = max_crossing_family(ws)
-        assert size == n
-        # a witness family is pairwise crossing
-        by_id = {w.wall_id: w for w in ws.walls}
-        for a, b in itertools.combinations(family, 2):
-            assert walls_cross(by_id[a], by_id[b])
-        # and the slopes in it are distinct
-        assert len({f.split("@")[0] for f in family}) == n
-
-
-def test_max_crossing_family_no_crossings():
-    ws = torus_line_wallspace((Slope(1, 0),), 2)
-    assert max_crossing_family(ws)[0] == 1
 
 
 def test_torus_dual_is_grid():
