@@ -2,9 +2,11 @@
 
 Exit codes: 0 = computed, affirmative or neutral verdict; 1 = computed,
 negative verdict (charged, not special, not virtually compact special);
-2 = malformed input or usage error, message on stderr with line numbers
-where available. Reports on stdout are byte deterministic for a fixed
-input. `--json` replaces the report with one JSON object per run.
+2 = malformed input, usage error or exceeded budget, message on stderr
+with line numbers where available; 3 = internal error (a bug), with
+`internal error:` and the traceback on stderr. Reports on stdout are byte
+deterministic for a fixed input. `--json` replaces the report with one
+JSON object per run.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import json
 import random
 import sys
+import traceback
 
 from .charge import classify_vcs, euler_number, is_chargeless_manifold, render_charge_report
 from .cubecomplex import check_npc, dimension, specialness_report
@@ -434,6 +437,10 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"{e.filename}: {e.strerror}", file=sys.stderr)
         return 2
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -57,10 +57,10 @@ class MissingGeometryLabelError(InputError):
 
 
 class BudgetExceededError(M3CubeError):
-    """Dual complex enumeration passed the configured budget."""
+    """Dual complex enumeration passed the configured budget of orientations or cubes."""
 
-    def __init__(self, budget: int):
-        super().__init__(f"more than {budget} consistent orientations")
+    def __init__(self, budget: int, what: str = "consistent orientations"):
+        super().__init__(f"more than {budget} {what}")
         self.budget = budget
 
 

@@ -329,7 +329,9 @@ def validate(m: ManifoldGraph) -> ValidationReport:
     """Check every structural invariant; the report lists all violations.
 
     An end is reported as already used at each use after its first, with
-    tori taken before boundary ends.
+    tori taken before boundary ends. Unused ends are reported once per
+    block, at the lowest unused index with a count of the others, so the
+    cost follows the ends in use and not the boundary count.
     """
     problems: list[Problem] = []
 
@@ -370,11 +372,19 @@ def validate(m: ManifoldGraph) -> ValidationReport:
     for j, end in enumerate(m.boundary_tori):
         check_end(end, ("boundary", j, "end"), f"boundary {end}")
 
+    taken: dict[str, set[int]] = {}
+    for end in used:
+        taken.setdefault(end.block_id, set()).add(end.boundary_index)
     for block_id in sorted(m.blocks):
-        for i in range(m.blocks[block_id].num_boundary):
-            end = TorusEnd(block_id, i)
-            if end not in used:
-                add((), f"end {end}", "not glued and not declared as boundary")
+        n = m.blocks[block_id].num_boundary
+        mine = sorted(i for i in taken.get(block_id, ()) if 0 <= i < n)
+        if len(mine) < n:
+            first = next((i for i, j in enumerate(mine) if i != j), len(mine))
+            more = n - len(mine) - 1
+            message = "not glued and not declared as boundary"
+            if more:
+                message += f" (and {more} more on block {block_id})"
+            add((), f"end {TorusEnd(block_id, first)}", message)
 
     if m.geometry_label is not None:
         if m.geometry_label not in GEOMETRY_LABELS:

@@ -8,12 +8,20 @@ The dual complex has one vertex per consistent orientation (a choice of
 half per wall, all pairwise intersecting), an edge when two orientations
 differ on exactly one wall, and a d-cube filled in whenever all 2^d
 orientations obtained by flipping d walls from a common base are present.
+
+Cubes grow from one fact: if pairwise crossing walls can each be flipped
+alone at a vertex v, flipping any subset of them at v gives a vertex
+(flipped halves meet as their walls cross; a flipped half meets the other
+halves as its single flip is a vertex). So each corner of a cube is one
+flip away from a corner of the face it extends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Sequence
 
 from .cubecomplex import Cube, CubeComplex
@@ -85,73 +93,63 @@ def dual_cube_complex(ws: Wallspace, budget: int = 10 ** 6) -> DualComplex:
 
     walls = ws.walls
     n = len(walls)
-    sides = [w.sides() for w in walls]
-    # compat[i][si][j][sj]: do the chosen halves intersect?
-    compat = [
-        [
-            [
-                [bool(sides[i][si] & sides[j][sj]) for sj in (0, 1)]
-                for j in range(n)
-            ]
-            for si in (0, 1)
-        ]
-        for i in range(n)
-    ]
+    # half 2*i + s is side s of wall i; holders[c] has bit h set when
+    # chamber c lies in half h
+    halves = [side for w in walls for side in w.sides()]
+    holders = dict.fromkeys(ws.chambers, 0)
+    for h, side in enumerate(halves):
+        for c in side:
+            holders[c] |= 1 << h
+    # meets[h] has bit g set when halves h and g share a chamber
+    meets = [reduce(or_, map(holders.__getitem__, side), 0) for side in halves]
+    # cross[i] has bit 2*j set when walls i and j cross: both halves of
+    # wall i meet both halves of wall j, i.e. bits 2*j and 2*j+1 of both[i]
+    both = [meets[2 * i] & meets[2 * i + 1] for i in range(n)]
+    evens = (4 ** n - 1) // 3
+    cross = [b & b >> 1 & evens & ~(1 << 2 * i) for i, b in enumerate(both)]
 
-    found: list[tuple[int, ...]] = []
-
-    def extend(assigned: list[int]) -> None:
-        i = len(assigned)
+    # Depth-first over walls, side 0 first (it is pushed last); wall i is
+    # bit n-1-i of an orientation, so they come out in the order of their
+    # 0/1 tuples. Each entry carries the halves meeting every chosen half.
+    found: list[int] = []
+    stack = [(0, 0, (1 << 2 * n) - 1)]
+    while stack:
+        i, o, ok = stack.pop()
         if i == n:
-            found.append(tuple(assigned))
+            found.append(o)
             if len(found) > budget:
                 raise BudgetExceededError(budget)
-            return
-        for si in (0, 1):
-            row = compat[i][si]
-            if all(row[j][assigned[j]] for j in range(i)):
-                assigned.append(si)
-                extend(assigned)
-                assigned.pop()
+            continue
+        for s in (1, 0):
+            if ok >> 2 * i + s & 1:
+                stack.append((i + 1, o << 1 | s, ok & meets[2 * i + s]))
+    index = {o: k for k, o in enumerate(found)}
 
-    extend([])
-    orientations = tuple(sorted(found))
-    index = {o: k for k, o in enumerate(orientations)}
+    # up[v][w]: the vertex reached by flipping wall w from side 0 at v
+    flips = [1 << n - 1 - w for w in range(n)]
+    up = [
+        {w: index[o ^ f] for w, f in enumerate(flips) if not o & f and o ^ f in index}
+        for o in found
+    ]
 
-    cross = [[i != j and walls_cross(walls[i], walls[j]) for j in range(n)] for i in range(n)]
-
+    # The cubes at base v flip pairwise crossing walls that each flip alone
+    # at v; they grow depth first, adding walls in increasing order.
     cubes: list[Cube] = []
+    for v in range(len(found)):
+        stack = [(0, [v], list(up[v]))]
+        while stack:
+            d, corners, free = stack.pop()
+            if d:
+                cubes.append(Cube(d, tuple(corners)))
+                if len(cubes) > budget:
+                    raise BudgetExceededError(budget, "cubes")
+            for j in reversed(range(len(free))):
+                w = free[j]
+                later = [x for x in free[j + 1:] if cross[w] >> 2 * x & 1]
+                stack.append((d + 1, corners + [up[c][w] for c in corners], later))
 
-    def corners_for(base: tuple[int, ...], coords: tuple[int, ...]) -> list[int] | None:
-        out = []
-        for mask in range(2 ** len(coords)):
-            o = list(base)
-            for bit, wall in enumerate(coords):
-                if mask & (1 << bit):
-                    o[wall] = 1
-            k = index.get(tuple(o))
-            if k is None:
-                return None
-            out.append(k)
-        return out
-
-    def grow(base: tuple[int, ...], coords: tuple[int, ...], corners: list[int]) -> None:
-        if coords:
-            cubes.append(Cube(len(coords), tuple(corners)))
-        start = coords[-1] + 1 if coords else 0
-        for w in range(start, n):
-            if base[w] != 0:
-                continue
-            if not all(cross[w][u] for u in coords):
-                continue
-            nxt = corners_for(base, coords + (w,))
-            if nxt is not None:
-                grow(base, coords + (w,), nxt)
-
-    for o in orientations:
-        grow(o, (), [index[o]])
-
-    cx = CubeComplex(tuple(range(len(orientations))), tuple(cubes))
+    orientations = tuple(tuple(o >> n - 1 - i & 1 for i in range(n)) for o in found)
+    cx = CubeComplex(tuple(range(len(found))), tuple(cubes))
     return DualComplex(cx, tuple(w.wall_id for w in walls), orientations)
 
 

@@ -1,9 +1,11 @@
 """Command line driver: output text, exit codes, JSON records."""
 
 import json
+import time
 
 import pytest
 
+from m3cube import cli
 from m3cube.cli import main
 from m3cube.fileformats import parse_complex, parse_wallspace
 
@@ -209,10 +211,49 @@ def test_dual_cube_json(capsys, catalog):
     assert rec["dimension"] == 2
 
 
-def test_dual_cube_budget(capsys, catalog):
+def test_dual_cube_budget(capsys, catalog, tmp_path):
     code, _, err = run(capsys, "dual-cube", "--budget", "2", str(catalog / "crossing2.ws"))
     assert code == 2
     assert err.startswith("budget exceeded:")
+    # six crossing walls: 64 vertices and 3^6 - 2^6 = 665 cubes
+    path = tmp_path / "crossing6.ws"
+    path.write_text(
+        "chambers 64\n"
+        + "".join(
+            f"wall w{i} U={','.join(str(c) for c in range(64) if not c >> i & 1)}"
+            f" V={','.join(str(c) for c in range(64) if c >> i & 1)}\n"
+            for i in range(6)
+        )
+    )
+    code, out, err = run(capsys, "dual-cube", "--budget", "100", str(path))
+    assert (code, out, err) == (2, "", "budget exceeded: more than 100 cubes\n")
+    code, out, _ = run(capsys, "dual-cube", "--budget", "665", str(path))
+    assert code == 0
+    assert len([line for line in out.splitlines() if line.startswith("cube ")]) == 665
+
+
+@pytest.mark.parametrize("error", [RuntimeError("boom"), RecursionError("deep")])
+def test_internal_error_exits_3(capsys, catalog, monkeypatch, error):
+    def broken(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_validate", broken)
+    code, out, err = run(capsys, "validate", str(catalog / "h3.m3"))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:\nTraceback (most recent call last):\n")
+    assert err.endswith(f"{type(error).__name__}: {error}\n")
+
+
+def test_huge_boundary_count_fails_fast(capsys, tmp_path):
+    path = tmp_path / "huge.m3"
+    path.write_text("block S seifert genus=0 boundaries=1000000000\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "validate", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 1024
+    assert "end S.0: not glued and not declared as boundary (and 999999999 more on block S)" in err
 
 
 def test_torus_walls_text(capsys):

@@ -121,6 +121,20 @@ def test_validate_names_shared_end():
     assert any("A.0" in p and "already used" in p for p in report.problems)
 
 
+def test_validate_reports_unused_ends_once_per_block():
+    # A uses ends 0, 2 and an out-of-range 9; B uses none of its three
+    m = ManifoldGraph(
+        {"A": SeifertBlockData(1, 5), "B": SeifertBlockData(1, 3), "C": SeifertBlockData(1, 1)},
+        (TorusEdge("T", TorusEnd("A", 0), TorusEnd("C", 0), GluingMatrix(0, 1, 1, 0)),),
+        (TorusEnd("A", 2), TorusEnd("A", 9)),
+    )
+    unused = [p for p in validate(m).problems if "not glued" in p]
+    assert unused == [
+        "end A.1: not glued and not declared as boundary (and 2 more on block A)",
+        "end B.0: not glued and not declared as boundary (and 2 more on block B)",
+    ]
+
+
 def test_validate_names_bad_determinant():
     report = validate(two_block_graph(GluingMatrix(1, 0, 0, 2)))
     assert any("T" in p and "determinant 2" in p for p in report.problems)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -122,8 +123,93 @@ def test_dual_edges_flip_exactly_one_wall():
 
 
 def test_dual_budget():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="more than 3 consistent orientations"):
         dual_cube_complex(hypercube_walls(4), budget=3)
+    # 6 crossing walls: 64 vertices fit a budget of 100, 3^6 - 2^6 = 665 cubes do not
+    with pytest.raises(BudgetExceededError, match="^more than 100 cubes$"):
+        dual_cube_complex(hypercube_walls(6), budget=100)
+    assert len(dual_cube_complex(hypercube_walls(6), budget=665).complex.cubes) == 665
+
+
+def star_walls(n):
+    chambers = tuple(range(n + 1))
+    return Wallspace(
+        chambers,
+        tuple(Wall(f"s{i}", frozenset({i}), frozenset(chambers) - {i}) for i in range(n)),
+    )
+
+
+def test_dual_needs_no_recursion():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        dual = dual_cube_complex(star_walls(400))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(dual.complex.vertices) == 401
+    assert [q.dim for q in dual.complex.cubes] == [1] * 400
+
+
+def random_overlapping_wallspace(rng):
+    chambers = tuple(range(rng.randint(2, 7)))
+    walls = []
+    for i in range(rng.randint(1, 6)):
+        u = frozenset(c for c in chambers if rng.random() < 0.5)
+        v = frozenset(chambers) - u
+        shared = frozenset(c for c in chambers if rng.random() < 0.25)
+        if rng.random() < 0.5:
+            u |= shared
+        if rng.random() < 0.5:
+            v |= shared
+        walls.append(Wall(f"w{i}", u, v))
+    return Wallspace(chambers, tuple(walls))
+
+
+def test_dual_cubes_match_brute_force():
+    rng = random.Random(5)
+    tested = overlapping = 0
+    while tested < 300:
+        ws = random_overlapping_wallspace(rng)
+        if validate_wallspace(ws):
+            continue
+        tested += 1
+        overlapping += any(w.half_u & w.half_v for w in ws.walls)
+        n = len(ws.walls)
+        halves = [w.sides() for w in ws.walls]
+        vertices = sorted(
+            o
+            for o in itertools.product((0, 1), repeat=n)
+            if all(
+                halves[i][o[i]] & halves[j][o[j]]
+                for i, j in itertools.combinations(range(n), 2)
+            )
+        )
+        number = {o: k for k, o in enumerate(vertices)}
+
+        # a cube: a base vertex and walls on side 0 there, every one of
+        # whose 2^d flips is a vertex; corner m flips coordinate b when bit
+        # b of m is set
+        expected = set()
+        for base in vertices:
+            for d in range(1, n + 1):
+                for coords in itertools.combinations(range(n), d):
+                    if any(base[w] for w in coords):
+                        continue
+                    corners = []
+                    for m in range(2 ** d):
+                        o = list(base)
+                        for b, w in enumerate(coords):
+                            o[w] ^= m >> b & 1
+                        corners.append(number.get(tuple(o)))
+                    if None not in corners:
+                        expected.add((d, tuple(corners)))
+
+        dual = dual_cube_complex(ws)
+        assert list(dual.orientations) == vertices
+        got = [(q.dim, q.corners) for q in dual.complex.cubes]
+        assert len(set(got)) == len(got)
+        assert set(got) == expected
+    assert overlapping >= 100
 
 
 def test_torus_wallspace_validation():
