@@ -7,13 +7,21 @@ corner index is coordinate j). Edges and squares are implicit: each cube's
 expressed by corner maps hitting repeated vertices, so an edge is
 determined by its endpoint pair (no parallel 1-cells).
 
-Hyperplanes are parallelism classes of edges under the opposite-edge-in-a-
-square relation. The pathology scan follows the usual conventions: a class
-is one-sided when a directed edge is parallel to its own reverse; a cube
-self-intersects a class when two of its coordinates land in it; two dual
-edges sharing a vertex without spanning a square osculate, directly when
-they are equally oriented; two classes inter-osculate when they cross in
-some square and osculate elsewhere.
+Two attributes, each built once on first use, hold everything derived.
+``rank`` gives each vertex its position in ``str`` order, the one vertex
+order of the package (``.cc`` output follows it too). ``index`` numbers
+the edges 0, 1, ... in rank order; edge k has darts 2k (low rank to high)
+and 2k+1 (the reverse). It keeps each square once, one union-find over
+darts (equally directed opposite sides of a square are parallel) and each
+vertex's incidence list of edge ids.
+
+A hyperplane is the union of the dart classes of 2k and 2k+1, numbered by
+its least edge. The pathology scan follows the usual conventions: it is
+one-sided when those two classes coincide; a cube self-intersects it when
+two of its coordinates land in it; two of its edges at a vertex that lie
+in no common square osculate, directly when their darts out of that vertex
+share a class; two hyperplanes inter-osculate when they cross in some
+square and osculate elsewhere.
 
 Nonpositive curvature is decided in every dimension by Gromov's link
 condition (see ``check_npc``).
@@ -22,6 +30,7 @@ condition (see ``check_npc``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -43,9 +52,42 @@ class Cube:
 
 
 @dataclass(frozen=True)
+class ComplexIndex:
+    """Edges, squares and dart classes of a valid complex, in ranks.
+
+    ``vertices[r]`` is the vertex of rank r. ``edges[k]`` is the rank pair
+    (low, high) of edge k, in sorted order. ``squares`` holds each square
+    once, sorted, as corner ranks (x, p, q, y): x its least corner, p < q
+    the neighbours of x, y the corner opposite x; ``sides`` gives each
+    square's edge ids (xp, qy, xq, py), two parallel pairs. ``dart_class``
+    maps a dart to its union-find root and ``plane`` an edge to its
+    hyperplane. ``incident[r]`` lists the edges at rank r, ascending.
+    """
+
+    vertices: tuple
+    edges: tuple[tuple[int, int], ...]
+    squares: tuple[tuple[int, int, int, int], ...]
+    sides: tuple[tuple[int, int, int, int], ...]
+    dart_class: tuple[int, ...]
+    plane: tuple[int, ...]
+    incident: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
 class CubeComplex:
     vertices: tuple
     cubes: tuple[Cube, ...] = ()
+
+    @cached_property
+    def rank(self) -> dict:
+        return {v: r for r, v in enumerate(sorted(self.vertices, key=str))}
+
+    @cached_property
+    def index(self) -> ComplexIndex:
+        problems = validate_complex(self)
+        if problems:
+            raise InputError("invalid cube complex: " + "; ".join(problems))
+        return _build_index(self)
 
 
 def validate_complex(c: CubeComplex) -> list[str]:
@@ -54,12 +96,13 @@ def validate_complex(c: CubeComplex) -> list[str]:
     if len(vs) != len(c.vertices):
         problems.append("repeated vertex ids")
     for idx, cube in enumerate(c.cubes):
-        for v in cube.corners:
+        corners = cube.corners
+        for v in corners:
             if v not in vs:
                 problems.append(f"cube {idx}: unknown vertex {v}")
-        for a, b in _cube_edges(cube.dim, cube.corners):
-            if a == b:
-                problems.append(f"cube {idx}: degenerate edge at vertex {a}")
+        for a, b in _edge_corners(cube.dim):
+            if corners[a] == corners[b]:
+                problems.append(f"cube {idx}: degenerate edge at vertex {corners[a]}")
     return problems
 
 
@@ -67,92 +110,95 @@ def dimension(c: CubeComplex) -> int:
     return max((cube.dim for cube in c.cubes), default=0)
 
 
-def _cube_edges(d: int, corners: tuple) -> list[tuple]:
-    """All 1-faces as ordered pairs (corner at 0-side, corner at 1-side)."""
-    out = []
-    for idx in range(2 ** d):
-        for j in range(d):
-            if not idx & (1 << j):
-                out.append((corners[idx], corners[idx | (1 << j)]))
-    return out
+def _edge_corners(d: int) -> tuple[tuple[int, int], ...]:
+    """Corner positions of a d-cube's 1-faces: (0-side, 1-side)."""
+    return tuple(
+        (base, base | 1 << j) for base in range(2 ** d) for j in range(d) if not base >> j & 1
+    )
 
 
-def _cube_squares(d: int, corners: tuple):
-    """All 2-faces as (v00, v10, v01, v11), one per coordinate pair and base."""
-    for i in range(d):
-        for j in range(i + 1, d):
-            bi, bj = 1 << i, 1 << j
-            for base in range(2 ** d):
-                if not base & (bi | bj):
-                    yield (
-                        corners[base],
-                        corners[base | bi],
-                        corners[base | bj],
-                        corners[base | bi | bj],
-                    )
+def _square_corners(d: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Corner positions of a d-cube's 2-faces: (v00, v10, v01, v11), one per
+    coordinate pair and base."""
+    return tuple(
+        (base, base | 1 << i, base | 1 << j, base | 1 << i | 1 << j)
+        for i in range(d)
+        for j in range(i + 1, d)
+        for base in range(2 ** d)
+        if not base & (1 << i | 1 << j)
+    )
 
 
-_SQUARE_SYMMETRIES = (
-    (0, 1, 2, 3),  # identity
-    (1, 0, 3, 2),  # flip coordinate 0
-    (2, 3, 0, 1),  # flip coordinate 1
-    (3, 2, 1, 0),  # flip both
-    (0, 2, 1, 3),  # swap coordinates
-    (2, 0, 3, 1),
-    (1, 3, 0, 2),
-    (3, 1, 2, 0),
-)
+def _least_first(q) -> tuple:
+    """A square (v00, v10, v01, v11) read from its least corner: that corner,
+    its two neighbours in order, the opposite corner. As adjacent corners
+    differ, this is the least of the square's eight symmetric readings."""
+    i = q.index(min(q))
+    a, b = q[i ^ 1], q[i ^ 2]
+    return (q[i], a, b, q[i ^ 3]) if a < b else (q[i], b, a, q[i ^ 3])
 
 
-def _canonical_square(sq: tuple) -> tuple:
-    return min(tuple(sq[i] for i in perm) for perm in _SQUARE_SYMMETRIES)
+def _build_index(c: CubeComplex) -> ComplexIndex:
+    rank = c.rank
+    edge_set, square_set = set(), set()
+    shapes: dict = {}  # dimension -> corner positions of its 1- and 2-faces
+    for cube in c.cubes:
+        d = cube.dim
+        if d not in shapes:
+            shapes[d] = _edge_corners(d), _square_corners(d)
+        pairs, quads = shapes[d]
+        rs = [rank[v] for v in cube.corners]
+        for a, b in pairs:
+            a, b = rs[a], rs[b]
+            edge_set.add((a, b) if a < b else (b, a))
+        for q in quads:
+            square_set.add(_least_first([rs[i] for i in q]))
+    edges = tuple(sorted(edge_set))
+    squares = tuple(sorted(square_set))
+    eid = {e: k for k, e in enumerate(edges)}
+
+    def dart(u, v):
+        return 2 * eid[u, v] if u < v else 2 * eid[v, u] + 1
+
+    parent = list(range(2 * len(edges)))
+
+    def find(d):
+        while parent[d] != d:
+            parent[d] = d = parent[parent[d]]
+        return d
+
+    sides = []
+    for x, p, q, y in squares:
+        xp, qy, xq, py = dart(x, p), dart(q, y), dart(x, q), dart(p, y)
+        for d, e in ((xp, qy), (xp ^ 1, qy ^ 1), (xq, py), (xq ^ 1, py ^ 1)):
+            parent[find(e)] = find(d)
+        sides.append((xp >> 1, qy >> 1, xq >> 1, py >> 1))
+    root = tuple(find(d) for d in range(len(parent)))
+
+    number: dict = {}  # a hyperplane's lesser dart root -> its index
+    plane = tuple(
+        number.setdefault(min(root[2 * k], root[2 * k + 1]), len(number))
+        for k in range(len(edges))
+    )
+    incident = [[] for _ in rank]
+    for k, (lo, hi) in enumerate(edges):
+        incident[lo].append(k)
+        incident[hi].append(k)
+    return ComplexIndex(
+        tuple(rank), edges, squares, tuple(sides), root, plane, tuple(map(tuple, incident))
+    )
 
 
 def derived_squares(c: CubeComplex) -> tuple[tuple, ...]:
-    """All 2-faces of all cubes, deduplicated up to square symmetry."""
-    seen = {
-        _canonical_square(sq)
-        for cube in c.cubes
-        for sq in _cube_squares(cube.dim, cube.corners)
-    }
-    return tuple(sorted(seen, key=_sort_key))
-
-
-def _sort_key(obj):
-    return tuple(str(x) for x in obj) if isinstance(obj, tuple) else str(obj)
+    """All 2-faces of all cubes, each once, read from its least vertex."""
+    idx, rank = c.index, c.rank
+    squares = (_least_first([idx.vertices[r] for r in sq]) for sq in idx.squares)
+    return tuple(sorted(squares, key=lambda sq: [rank[v] for v in sq]))
 
 
 def derived_edges(c: CubeComplex) -> tuple[frozenset, ...]:
-    out = set()
-    for cube in c.cubes:
-        for a, b in _cube_edges(cube.dim, cube.corners):
-            out.add(frozenset((a, b)))
-    return tuple(sorted(out, key=lambda e: sorted(map(str, e))))
-
-
-def _require_valid(c: CubeComplex) -> None:
-    problems = validate_complex(c)
-    if problems:
-        raise InputError("invalid cube complex: " + "; ".join(problems))
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        parent = self.parent
-        root = x
-        while (p := parent.setdefault(root, root)) != root:
-            root = p
-        while x != root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
+    idx = c.index
+    return tuple(frozenset((idx.vertices[a], idx.vertices[b])) for a, b in idx.edges)
 
 
 @dataclass(frozen=True)
@@ -163,31 +209,12 @@ class Hyperplane:
     edges: frozenset
 
 
-def _edge_classes(c: CubeComplex):
-    """Union-find partition of the derived edges, plus the derived squares."""
-    edges = derived_edges(c)
-    squares = derived_squares(c)
-    uf = _UnionFind()
-    for e in edges:
-        uf.find(e)
-    for v00, v10, v01, v11 in squares:
-        uf.union(frozenset((v00, v10)), frozenset((v01, v11)))
-        uf.union(frozenset((v00, v01)), frozenset((v10, v11)))
-    return edges, squares, uf
-
-
-def _planes(edges, uf: _UnionFind) -> tuple[Hyperplane, ...]:
-    """Classes numbered by their least edge; ``edges`` is already sorted."""
-    groups: dict = {}
-    for e in edges:
-        groups.setdefault(uf.find(e), []).append(e)
-    return tuple(Hyperplane(i, frozenset(es)) for i, es in enumerate(groups.values()))
-
-
 def hyperplanes(c: CubeComplex) -> tuple[Hyperplane, ...]:
-    _require_valid(c)
-    edges, _squares, uf = _edge_classes(c)
-    return _planes(edges, uf)
+    idx = c.index
+    groups: dict = {}
+    for (a, b), h in zip(idx.edges, idx.plane):
+        groups.setdefault(h, []).append(frozenset((idx.vertices[a], idx.vertices[b])))
+    return tuple(Hyperplane(h, frozenset(es)) for h, es in groups.items())
 
 
 @dataclass(frozen=True)
@@ -237,71 +264,38 @@ class PathologyReport:
 
 
 def specialness_report(c: CubeComplex) -> PathologyReport:
-    _require_valid(c)
-    edges, squares, uf = _edge_classes(c)
-    planes = _planes(edges, uf)
-    class_of = {e: h.index for h in planes for e in h.edges}
-
-    duf = _UnionFind()
-    for v00, v10, v01, v11 in squares:
-        duf.union((v00, v10), (v01, v11))
-        duf.union((v10, v00), (v11, v01))
-        duf.union((v00, v01), (v10, v11))
-        duf.union((v01, v00), (v11, v10))
-
-    edge_to_squares: dict = {}
-    for si, (v00, v10, v01, v11) in enumerate(squares):
-        for e in (
-            frozenset((v00, v10)),
-            frozenset((v01, v11)),
-            frozenset((v00, v01)),
-            frozenset((v10, v11)),
-        ):
-            edge_to_squares.setdefault(e, set()).add(si)
-
-    def span_square(e1, e2) -> bool:
-        return bool(edge_to_squares.get(e1, set()) & edge_to_squares.get(e2, set()))
+    idx = c.index
+    planes = hyperplanes(c)
+    plane, root = idx.plane, idx.dart_class
 
     crossing: set[tuple[int, int]] = set()
     self_int = set()
-    for v00, v10, v01, v11 in squares:
-        c0 = class_of[frozenset((v00, v10))]
-        c1 = class_of[frozenset((v00, v01))]
-        if c0 == c1:
-            self_int.add(c0)
+    spanning = set()  # edge id pairs (k1 < k2) that lie in a common square
+    for s in idx.sides:
+        h1, h2 = plane[s[0]], plane[s[2]]
+        if h1 == h2:
+            self_int.add(h1)
         else:
-            crossing.add((min(c0, c1), max(c0, c1)))
+            crossing.add((min(h1, h2), max(h1, h2)))
+        spanning.update(combinations(sorted(set(s)), 2))
 
-    one_sided = set()
-    for h in planes:
-        for e in h.edges:
-            u, v = tuple(e)
-            if duf.find((u, v)) == duf.find((v, u)):
-                one_sided.add(h.index)
-                break
-
-    incident: dict = {}
-    for e in edges:
-        for x in e:
-            incident.setdefault(x, []).append(e)
+    one_sided = {plane[k] for k in range(len(plane)) if root[2 * k] == root[2 * k + 1]}
 
     direct_osc = set()
     indirect_osc = set()
-    contacts: set[tuple[int, int]] = set()  # class pairs that osculate somewhere
-    for x, es in incident.items():
-        for e1, e2 in combinations(es, 2):
-            if span_square(e1, e2):
+    contacts: set[tuple[int, int]] = set()  # plane pairs that osculate somewhere
+    for r, inc in enumerate(idx.incident):
+        out = [2 * k + (idx.edges[k][1] == r) for k in inc]  # darts leaving r
+        for (k1, d1), (k2, d2) in combinations(zip(inc, out), 2):
+            if (k1, k2) in spanning:
                 continue
-            h1, h2 = class_of[e1], class_of[e2]
-            if h1 == h2:
-                (y1,) = tuple(e1 - {x})
-                (y2,) = tuple(e2 - {x})
-                if duf.find((x, y1)) == duf.find((x, y2)):
-                    direct_osc.add(h1)
-                elif duf.find((x, y1)) == duf.find((y2, x)):
-                    indirect_osc.add(h1)
-            else:
+            h1, h2 = plane[k1], plane[k2]
+            if h1 != h2:
                 contacts.add((min(h1, h2), max(h1, h2)))
+            elif root[d1] == root[d2]:
+                direct_osc.add(h1)
+            elif root[d1] == root[d2 ^ 1]:
+                indirect_osc.add(h1)
 
     inter = tuple(sorted(crossing & contacts))
     flags = tuple(
@@ -330,24 +324,19 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _empty_clique_sizes(germs) -> list[int]:
+def _empty_clique_sizes(germs: list[int], width: int) -> list[int]:
     """Sizes of the empty cliques found in the link spanned by ``germs``.
 
-    Link vertices are edge germs, numbered as bits; the simplices are the
-    nonempty subsets of the corner germs. The link is flag exactly when
-    every simplex s extends by every link vertex adjacent to all of s:
-    any clique is then a simplex, by induction on its size.
+    Link vertices are the bits 0 .. width-1; the simplices are the nonempty
+    subsets of the germ masks. The link is flag exactly when every simplex
+    s extends by every link vertex adjacent to all of s: any clique is then
+    a simplex, by induction on its size.
     """
-    index: dict = {}
-    masks = []
-    for germ in germs:
-        mask = 0
-        for e in germ:
-            mask |= 1 << index.setdefault(e, len(index))
-        masks.append(mask)
-    nbrs = [0] * len(index)
+    nbrs = [0] * width
     simplices = set()
-    for mask in masks:
+    for mask in sorted(germs, key=int.bit_count, reverse=True):
+        if mask in simplices:
+            continue  # a face of a larger germ: adds no simplex or adjacency
         for u in _bits(mask):
             nbrs[u] |= mask
         sub = mask
@@ -368,39 +357,43 @@ def _empty_clique_sizes(germs) -> list[int]:
 def check_npc(c: CubeComplex) -> NPCReport:
     """Gromov's criterion: every vertex link simplicial and flag.
 
-    Simplicial means no corner repeats an edge (a link loop) and no two
-    corners span the same link simplex; flag is tested by simplex
-    extension, in any dimension and in time polynomial in the size of the
-    complex (each corner of a d-cube adds at most 2^d link simplices).
+    A corner's germ is the mask of its cube's edges there, over positions
+    in the vertex's incidence list. Simplicial means no germ repeats an
+    edge (a link loop) and no two corners span the same link simplex; flag
+    is tested by simplex extension, in any dimension and in time polynomial
+    in the size of the complex (each corner of a d-cube adds at most 2^d
+    link simplices).
     """
-    _require_valid(c)
+    idx, rank = c.index, c.rank
+    slot = []  # per rank: the other end of each incident edge -> its position
+    for r, inc in enumerate(idx.incident):
+        slot.append({a + b - r: i for i, (a, b) in enumerate(idx.edges[k] for k in inc)})
 
-    # corner simplices per vertex: the set of edge-germs at each cube corner
-    corners_at: dict = {}
+    germs: list[list[int]] = [[] for _ in slot]
     problems: list[str] = []
     for ci, cube in enumerate(c.cubes):
-        for idx, v in enumerate(cube.corners):
-            germ = frozenset(
-                frozenset((v, cube.corners[idx ^ (1 << j)])) for j in range(cube.dim)
-            )
-            if len(germ) != cube.dim:
+        rs = [rank[v] for v in cube.corners]
+        for i, r in enumerate(rs):
+            at, mask = slot[r], 0
+            for j in range(cube.dim):
+                mask |= 1 << at[rs[i ^ 1 << j]]
+            if mask.bit_count() != cube.dim:
                 problems.append(
-                    f"vertex {v}: cube {ci} corner {idx} repeats an edge (link loop)"
+                    f"vertex {cube.corners[i]}: cube {ci} corner {i} repeats an edge (link loop)"
                 )
-            corners_at.setdefault(v, []).append((germ, ci, idx))
+            germs[r].append(mask)
 
-    for v, germs in sorted(corners_at.items(), key=lambda kv: str(kv[0])):
-        seen: dict = {}
-        for gset, ci, idx in germs:
-            if len(gset) < 2:
-                continue
-            if gset in seen and seen[gset] != (ci, idx):
-                problems.append(
-                    f"vertex {v}: two corners span the same link simplex (doubled)"
-                )
-            seen.setdefault(gset, (ci, idx))
-
-        for size in _empty_clique_sizes(gset for gset, _, _ in germs):
+    for r, masks in enumerate(germs):
+        v = idx.vertices[r]
+        seen = set()
+        for mask in masks:
+            if mask.bit_count() >= 2:
+                if mask in seen:
+                    problems.append(
+                        f"vertex {v}: two corners span the same link simplex (doubled)"
+                    )
+                seen.add(mask)
+        for size in _empty_clique_sizes(masks, len(slot[r])):
             problems.append(f"vertex {v}: empty {size}-clique in link (not flag)")
 
     return NPCReport(not problems, tuple(dict.fromkeys(problems)))
@@ -409,5 +402,4 @@ def check_npc(c: CubeComplex) -> NPCReport:
 def complex_from_cubes(cube_specs: Iterable[tuple[int, Sequence]]) -> CubeComplex:
     """Convenience builder: vertices are collected from the corner lists."""
     cubes = tuple(Cube(d, tuple(corners)) for d, corners in cube_specs)
-    verts = sorted({v for cube in cubes for v in cube.corners}, key=str)
-    return CubeComplex(tuple(verts), cubes)
+    return CubeComplex(tuple(dict.fromkeys(v for cube in cubes for v in cube.corners)), cubes)

@@ -8,11 +8,11 @@ line and column.
 A .m3 file is read whole before any rule is checked, so its records may
 come in any order and a syntax error anywhere is reported first. The
 reader itself rejects only what a ManifoldGraph cannot hold: a block id or
-a hyperbolic frame declared twice, a frame index outside its block, a
-second geometry record. ``manifold.validate`` decides every other rule,
-and the problem in the earliest record is reported at the line and column
-of that record or field; whole-graph problems (an unglued end, a
-disconnected graph) are reported against the last line.
+a hyperbolic frame declared twice, a second geometry record.
+``manifold.validate`` decides every other rule, and the problem in the
+earliest record is reported at the line and column of that record or
+field; whole-graph problems (an unglued end, a disconnected graph) are
+reported against the last line.
 
 Serialization is deterministic: records sorted by id, one per line.
 serialize(parse(text)) reparses to an equal value.
@@ -214,13 +214,7 @@ def _parse_hyperbolic(tokens, lineno, block_id, where) -> HyperbolicBlockData:
             _fail(f"unknown hyperbolic field {tok!r}", lineno, col)
     if boundaries is None:
         _fail("hyperbolic block needs boundaries=", lineno)
-    for idx in frames:
-        if not 0 <= idx < boundaries:
-            _fail(f"frame{idx} out of range", lineno)
-    framings: tuple = ()
-    if frames:
-        framings = tuple(frames.get(i) for i in range(boundaries))
-    return HyperbolicBlockData(boundaries, framings)
+    return HyperbolicBlockData(boundaries, tuple(sorted(frames.items())))
 
 
 def serialize_manifold(m: ManifoldGraph) -> str:
@@ -241,10 +235,8 @@ def serialize_manifold(m: ManifoldGraph) -> str:
                 line += " thin"
         else:
             line = f"block {block_id} hyperbolic boundaries={data.num_boundary}"
-            for i, pair in enumerate(data.framings):
-                if pair is not None:
-                    s, t = pair
-                    line += f" frame{i}=({s.p},{s.q})|({t.p},{t.q})"
+            for i, (s, t) in data.framings:
+                line += f" frame{i}=({s.p},{s.q})|({t.p},{t.q})"
         out.append(line)
     for t in sorted(m.jsj_tori, key=lambda t: t.torus_id):
         g = t.glue
@@ -360,7 +352,7 @@ def parse_complex(text: str) -> CubeComplex:
             cubes.append(Cube(d, tuple(corners)))
         else:
             _fail(f"unknown record {kind!r}", lineno, col0)
-    c = CubeComplex(tuple(sorted(vertices)), tuple(cubes))
+    c = CubeComplex(tuple(vertices), tuple(cubes))
     problems = validate_complex(c)
     if problems:
         _fail("; ".join(problems), last_line)
@@ -368,9 +360,12 @@ def parse_complex(text: str) -> CubeComplex:
 
 
 def serialize_complex(c: CubeComplex) -> str:
-    out = [f"vertex {v}" for v in sorted(c.vertices, key=str)]
-    for cube in sorted(c.cubes, key=lambda k: (k.dim, tuple(map(str, k.corners)))):
-        out.append(f"cube {cube.dim} " + " ".join(map(str, cube.corners)))
+    """Vertices and cubes in the complex's vertex rank (``str``) order."""
+    rank = c.rank
+    name = {v: str(v) for v in rank}  # each vertex formatted once
+    out = [f"vertex {s}" for s in name.values()]
+    for cube in sorted(c.cubes, key=lambda k: (k.dim, [rank[v] for v in k.corners])):
+        out.append(f"cube {cube.dim} " + " ".join([name[v] for v in cube.corners]))
     return "\n".join(out) + "\n"
 
 

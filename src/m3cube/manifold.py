@@ -136,12 +136,13 @@ class SeifertBlockData:
 class HyperbolicBlockData:
     """A finite-volume hyperbolic block with num_boundary cusp tori.
 
-    An optional framing lists, per boundary torus, two distinct slopes
-    (a chosen pair of non-homotopic curves used downstream for walls).
+    An optional framing gives some boundary tori two distinct slopes (a
+    chosen pair of non-homotopic curves used downstream for walls), as
+    sorted (boundary index, (s, t)) pairs, one per declared frame.
     """
 
     num_boundary: int
-    framings: tuple[tuple[Slope, Slope] | None, ...] = ()
+    framings: tuple[tuple[int, tuple[Slope, Slope]], ...] = ()
 
     @property
     def kind(self) -> str:
@@ -310,16 +311,12 @@ def _block_problems(block_id: str, data: BlockData) -> list[Problem]:
     elif isinstance(data, HyperbolicBlockData):
         if data.num_boundary < 1:
             add("hyperbolic block needs at least one torus end")
-        if data.framings:
-            if len(data.framings) != data.num_boundary:
-                add(
-                    f"framing list length {len(data.framings)}"
-                    f" != boundary count {data.num_boundary}"
-                )
-            for i, pair in enumerate(data.framings):
-                if pair is not None and pair[0] == pair[1]:
-                    # one line may carry several frames, so name the field
-                    add(f"framing {i} repeats the slope {pair[0]}", (f"frame{i}",))
+        # one line may carry several frames, so name the field
+        for i, (s, t) in data.framings:
+            if not 0 <= i < data.num_boundary:
+                add(f"frame{i} out of range (block has {data.num_boundary})", (f"frame{i}",))
+            if s == t:
+                add(f"framing {i} repeats the slope {s}", (f"frame{i}",))
     else:
         add(f"unknown block data {type(data).__name__}")
     return out

@@ -2,10 +2,11 @@
 
 import json
 import time
+from collections import Counter
 
 import pytest
 
-from m3cube import cli
+from m3cube import cli, cubecomplex, fileformats
 from m3cube.cli import main
 from m3cube.fileformats import parse_complex, parse_wallspace
 
@@ -176,6 +177,33 @@ def test_special_check_long_strip(capsys, tmp_path):
     assert out.count(": clean\n") == n + 1
 
 
+def test_special_check_work_counts(capsys, catalog, monkeypatch, tmp_path):
+    code, out, _ = run(capsys, "dual-cube", str(catalog / "crossing2.ws"))
+    path = tmp_path / "crossing2.cc"
+    path.write_text(out)
+    calls = Counter()
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(cubecomplex, "_build_index")
+    counting(cubecomplex, "validate_complex")
+    counting(fileformats, "validate_complex")
+
+    code, out, _ = run(capsys, "special-check", str(path))
+    assert (code, out.splitlines()[-2:]) == (0, ["special", "npc: yes"])
+    # one index serves the pathology scan and the NPC check; the complex is
+    # validated by the parser and once more before its index is built
+    assert calls["_build_index"] == 1
+    assert calls["validate_complex"] == 2
+
+
 def test_special_check_catalog_profiles(capsys, catalog):
     # pathology files carry exactly their designed defect
     expectations = {
@@ -246,14 +274,22 @@ def test_internal_error_exits_3(capsys, catalog, monkeypatch, error):
 
 
 def test_huge_boundary_count_fails_fast(capsys, tmp_path):
-    path = tmp_path / "huge.m3"
-    path.write_text("block S seifert genus=0 boundaries=1000000000\n")
-    start = time.perf_counter()
-    code, out, err = run(capsys, "validate", str(path))
-    assert time.perf_counter() - start < 1
-    assert (code, out) == (2, "")
-    assert len(err.encode()) < 1024
-    assert "end S.0: not glued and not declared as boundary (and 999999999 more on block S)" in err
+    # a hyperbolic frame is stored on its own, never expanded to the count
+    for block, record in (
+        ("S", "block S seifert genus=0 boundaries=1000000000\n"),
+        ("H", "block H hyperbolic boundaries=1000000000 frame0=(1,0)|(0,1)\n"),
+    ):
+        path = tmp_path / "huge.m3"
+        path.write_text(record)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "validate", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 1024
+        assert (
+            f"end {block}.0: not glued and not declared as boundary"
+            f" (and 999999999 more on block {block})"
+        ) in err
 
 
 def test_torus_walls_text(capsys):

@@ -1,5 +1,6 @@
 """Cube complexes: hyperplanes, pathology detection, NPC checks."""
 
+import functools
 import itertools
 import random
 from math import comb
@@ -20,6 +21,8 @@ from m3cube.cubecomplex import (
     validate_complex,
 )
 from m3cube.errors import InputError
+from m3cube.manifold import Slope
+from m3cube.wallspace import Wall, Wallspace, dual_cube_complex, torus_line_wallspace
 
 
 def k_cube(k, prefix="v"):
@@ -146,10 +149,11 @@ def test_grid_hyperplanes():
     assert sorted(len(p.edges) for p in planes) == [4] * 6
 
 
-def oracle_parallel_classes(c):
-    """Independent route: enumerate faces by coordinate pairs, merge dicts."""
+def oracle_faces(c):
+    """Independent route: every edge, and every 2-face as (v00, v10, v01, v11),
+    enumerated by coordinate pairs with the other coordinates fixed."""
     edges = set()
-    rels = []
+    squares = []
     for cube in c.cubes:
         d, corners = cube.dim, cube.corners
         for idx in range(2 ** d):
@@ -163,18 +167,22 @@ def oracle_parallel_classes(c):
                     base = 0
                     for j, bit in zip(rest, bits):
                         base |= bit << j
-                    q = [
+                    squares.append((
                         corners[base],
                         corners[base | 1 << j1],
                         corners[base | 1 << j2],
                         corners[base | 1 << j1 | 1 << j2],
-                    ]
-                    rels.append(
-                        (frozenset((q[0], q[1])), frozenset((q[2], q[3])))
-                    )
-                    rels.append(
-                        (frozenset((q[0], q[2])), frozenset((q[1], q[3])))
-                    )
+                    ))
+    return edges, squares
+
+
+def oracle_parallel_classes(c):
+    """Independent route: merge dicts over the oracle's faces."""
+    edges, squares = oracle_faces(c)
+    rels = []
+    for q in squares:
+        rels.append((frozenset((q[0], q[1])), frozenset((q[2], q[3]))))
+        rels.append((frozenset((q[0], q[2])), frozenset((q[1], q[3]))))
     classes = {e: {e} for e in edges}
     changed = True
     while changed:
@@ -188,6 +196,28 @@ def oracle_parallel_classes(c):
     return {frozenset(v) for v in classes.values()}
 
 
+def random_quotient(seed):
+    """A valid complex of one to four cubes, mostly squares, on at most six
+    vertices: letters for even seeds, ints for odd ones, whose int order is
+    not their str order."""
+    rng = random.Random(seed)
+    names = list("abcdef") if seed % 2 == 0 else [1, 2, 3, 10, 11, 20]
+    names = names[: rng.randint(4, 6)]
+    cubes = []
+    for _ in range(rng.randint(1, 4)):
+        d = rng.choice((1, 2, 2, 2, 3))
+        while True:
+            cs = [rng.choice(names) for _ in range(2 ** d)]
+            edges = [(m, m | 1 << j) for m in range(2 ** d) for j in range(d) if not m >> j & 1]
+            if all(cs[a] != cs[b] for a, b in edges):
+                break
+        cubes.append((d, cs))
+    return complex_from_cubes(cubes)
+
+
+QUOTIENT_SEEDS = range(200)
+
+
 @pytest.mark.parametrize(
     "builder",
     [
@@ -198,12 +228,138 @@ def oracle_parallel_classes(c):
         lambda: from_squares(WRAPPED_ANNULUS),
         lambda: from_squares(PINCER),
         lambda: complex_from_cubes(FOLDED_CUBE3),
+    ]
+    + [
+        pytest.param(functools.partial(random_quotient, seed), id=f"quotient{seed}")
+        for seed in QUOTIENT_SEEDS
     ],
 )
 def test_hyperplane_partition_matches_oracle(builder):
     c = builder()
     got = {frozenset(p.edges) for p in hyperplanes(c)}
     assert got == oracle_parallel_classes(c)
+
+
+# the dihedral group of a square, acting on (v00, v10, v01, v11)
+SQUARE_SYMMETRIES = (
+    (0, 1, 2, 3),
+    (1, 0, 3, 2),
+    (2, 3, 0, 1),
+    (3, 2, 1, 0),
+    (0, 2, 1, 3),
+    (2, 0, 3, 1),
+    (1, 3, 0, 2),
+    (3, 1, 2, 0),
+)
+
+
+def symmetric_minimum_squares(c):
+    """Each 2-face once, as the least of its eight symmetric corner listings
+    in the vertices' own order; the faces sorted by their str corners."""
+    seen = {
+        min(tuple(q[i] for i in perm) for perm in SQUARE_SYMMETRIES)
+        for q in oracle_faces(c)[1]
+    }
+    return tuple(sorted(seen, key=lambda q: tuple(map(str, q))))
+
+
+def crossing_walls(k):
+    """k pairwise-crossing walls on 2^k chambers: the dual is the k-cube."""
+    chambers = frozenset(range(2 ** k))
+    return Wallspace(
+        tuple(sorted(chambers)),
+        tuple(
+            Wall(f"w{i}", frozenset(x for x in chambers if x >> i & 1),
+                 frozenset(x for x in chambers if not x >> i & 1))
+            for i in range(k)
+        ),
+    )
+
+
+def test_derived_squares_match_symmetric_minimum():
+    duals = [dual_cube_complex(crossing_walls(k)).complex for k in (4, 5)]
+    duals.append(
+        dual_cube_complex(torus_line_wallspace((Slope(1, 0), Slope(0, 1)), 2)).complex
+    )
+    for c in duals:
+        # int vertices past 9, so "10" < "2" and the two orders differ
+        assert sorted(c.vertices, key=str) != sorted(c.vertices)
+    for c in duals + [random_quotient(seed) for seed in QUOTIENT_SEEDS]:
+        assert derived_squares(c) == symmetric_minimum_squares(c)
+
+
+def flags_oracle(c):
+    """Pathologies by brute force, with networkx components for the classes.
+
+    Darts are ordered vertex pairs; a square joins each pair of equally
+    directed opposite sides. Hyperplanes are components of the undirected
+    edges, numbered by their least edge in str order.
+    """
+    edges, squares = oracle_faces(c)
+    darts, parallel = nx.Graph(), nx.Graph()
+    darts.add_nodes_from(d for e in edges for d in itertools.permutations(e))
+    parallel.add_nodes_from(edges)
+    for a, b, p, q in squares:
+        for (u, v), (x, y) in (((a, b), (p, q)), ((a, p), (b, q))):
+            darts.add_edge((u, v), (x, y))
+            darts.add_edge((v, u), (y, x))
+            parallel.add_edge(frozenset((u, v)), frozenset((x, y)))
+    dart_class = {d: i for i, comp in enumerate(nx.connected_components(darts)) for d in comp}
+    component = {e: i for i, comp in enumerate(nx.connected_components(parallel)) for e in comp}
+    number = {}
+    for e in sorted(edges, key=lambda e: sorted(map(str, e))):
+        number.setdefault(component[e], len(number))
+    plane = {e: number[component[e]] for e in edges}
+
+    one_sided = {
+        plane[e] for e in edges if len({dart_class[d] for d in itertools.permutations(e)}) == 1
+    }
+    self_int, crossing = set(), set()
+    for a, b, p, q in squares:
+        h1, h2 = plane[frozenset((a, b))], plane[frozenset((a, p))]
+        if h1 == h2:
+            self_int.add(h1)
+        else:
+            crossing.add((min(h1, h2), max(h1, h2)))
+    square_sides = [
+        {frozenset(s) for s in ((a, b), (p, q), (a, p), (b, q))} for a, b, p, q in squares
+    ]
+    direct, indirect, contacts = set(), set(), set()
+    for e1, e2 in itertools.permutations(edges, 2):
+        for x in e1 & e2:
+            if any(e1 in sides and e2 in sides for sides in square_sides):
+                continue
+            (y1,) = e1 - {x}
+            (y2,) = e2 - {x}
+            h1, h2 = plane[e1], plane[e2]
+            if h1 != h2:
+                contacts.add((min(h1, h2), max(h1, h2)))
+            elif dart_class[x, y1] == dart_class[x, y2]:
+                direct.add(h1)
+            elif dart_class[x, y1] == dart_class[y2, x]:
+                indirect.add(h1)
+    flags = [
+        (h, h in one_sided, h in self_int, h in direct, h in indirect)
+        for h in range(len(number))
+    ]
+    return flags, tuple(sorted(crossing & contacts))
+
+
+def test_specialness_matches_brute_force_oracle():
+    verdicts, marks = [], set()
+    for seed in QUOTIENT_SEEDS:
+        c = random_quotient(seed)
+        rep = specialness_report(c)
+        flags = [
+            (f.index, f.one_sided, f.self_intersecting, f.self_osculating, f.indirect_osculation)
+            for f in rep.flags
+        ]
+        assert (flags, rep.inter_osculating) == flags_oracle(c), seed
+        verdicts.append(rep.special)
+        marks |= {i for f in flags for i in range(1, 5) if f[i]}
+        marks |= {5} if rep.inter_osculating else set()
+    assert True in verdicts and False in verdicts
+    assert marks == {1, 2, 3, 4, 5}  # every pathology occurs in the sample
 
 
 def test_square_and_cubes_are_special():

@@ -24,7 +24,7 @@ from m3cube.manifold import (
     TorusEnd,
     validate,
 )
-from m3cube.wallspace import torus_line_wallspace
+from m3cube.wallspace import dual_cube_complex, torus_line_wallspace
 
 MIXED = """\
 # two seifert pieces around a hyperbolic piece
@@ -46,7 +46,7 @@ def test_parse_manifold_round_trip():
     m = parse_manifold(MIXED)
     assert set(m.blocks) == {"A", "H", "B"}
     assert m.blocks["A"].exceptional == ((2, 1), (3, 1))
-    assert m.blocks["H"].framings[0] == (Slope(1, 0), Slope(0, 1))
+    assert m.blocks["H"].framings == ((0, (Slope(1, 0), Slope(0, 1))),)
     out = serialize_manifold(m)
     again = parse_manifold(out)
     assert again == m
@@ -127,6 +127,7 @@ def torus(tid, a, b, glue=(0, 1, 1, 0)):
 SFS = SeifertBlockData(1, 1)
 B_AND_T = "block B seifert genus=1 boundaries=1 b=0\ntorus T A.0 B.0 glue=0,1,1,0\n"
 X10 = (Slope(1, 0), Slope(1, 0))
+X01 = (Slope(1, 0), Slope(0, 1))
 
 # One case per rule of manifold.validate: the .m3 text breaks only that
 # rule, the graph is the same input built directly, and (line, column) is
@@ -164,8 +165,13 @@ RULE_CASES = [
     ),
     (
         "block H hyperbolic boundaries=2 frame0=(1,0)|(1,0)\nboundary H.0\nboundary H.1\n",
-        ManifoldGraph({"H": HyperbolicBlockData(2, (X10, None))}, boundary_tori=(end("H.0"), end("H.1"))),
+        ManifoldGraph({"H": HyperbolicBlockData(2, ((0, X10),))}, boundary_tori=(end("H.0"), end("H.1"))),
         "framing 0 repeats the slope (1,0)", 1, 33,
+    ),
+    (
+        "block H hyperbolic boundaries=1 frame0=(1,0)|(0,1) frame2=(1,0)|(0,1)\nboundary H.0\n",
+        ManifoldGraph({"H": HyperbolicBlockData(1, ((0, X01), (2, X01)))}, boundary_tori=(end("H.0"),)),
+        "frame2 out of range (block has 1)", 1, 52,
     ),
     (
         "block A seifert genus=1 boundaries=2 b=0\nblock B seifert genus=1 boundaries=2 b=0\n"
@@ -379,6 +385,25 @@ def test_torus_wallspace_survives_round_trip():
     ws = torus_line_wallspace((Slope(1, 0), Slope(1, 1)), 1)
     again = parse_wallspace(serialize_wallspace(ws))
     assert again == ws
+
+
+def test_serialize_complex_orders_vertices_by_str():
+    # the dual of 4 crossing walls has int vertices 0..15, so "10" < "2"
+    lines = ["chambers 16"] + [
+        f"wall w{i} U={','.join(str(x) for x in range(16) if x >> i & 1)}"
+        f" V={','.join(str(x) for x in range(16) if not x >> i & 1)}"
+        for i in range(4)
+    ]
+    c = dual_cube_complex(parse_wallspace("\n".join(lines) + "\n")).complex
+    assert sorted(c.vertices) == list(range(16))
+    expected = [f"vertex {v}" for v in sorted(c.vertices, key=str)] + [
+        f"cube {k.dim} " + " ".join(map(str, k.corners))
+        for k in sorted(c.cubes, key=lambda k: (k.dim, tuple(map(str, k.corners))))
+    ]
+    text = serialize_complex(c)
+    assert text == "\n".join(expected) + "\n"
+    assert text.index("vertex 10\n") < text.index("vertex 2\n")
+    assert serialize_complex(parse_complex(text)) == text
 
 
 def test_parse_complex_round_trip():

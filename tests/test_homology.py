@@ -35,7 +35,7 @@ def det(rows):
 def check_snf(A: IntMatrix):
     snf = smith_normal_form(A)
     U, D, V = snf.U, snf.D, snf.V
-    assert (U @ A @ V).rows == D.rows
+    assert Matrix(U.rows) * Matrix(A.rows) * Matrix(V.rows) == Matrix(D.rows)
     assert abs(det(U.rows)) == 1
     assert abs(det(V.rows)) == 1
     diag = snf.diagonal()

@@ -149,13 +149,15 @@ def test_validate_thin_shape():
 
 
 def test_validate_framing_shape():
-    bad_len = HyperbolicBlockData(2, ((Slope(1, 0), Slope(0, 1)),))
+    outside = HyperbolicBlockData(2, ((2, (Slope(1, 0), Slope(0, 1))),))
     m = ManifoldGraph(
-        {"H": bad_len},
+        {"H": outside},
         boundary_tori=(TorusEnd("H", 0), TorusEnd("H", 1)),
     )
-    assert any("framing list length" in p for p in validate(m).problems)
-    repeated = HyperbolicBlockData(1, ((Slope(1, 0), Slope(1, 0)),))
+    assert [(p.where, str(p)) for p in validate(m).violations] == [
+        (("block", "H", "frame2"), "block H: frame2 out of range (block has 2)")
+    ]
+    repeated = HyperbolicBlockData(1, ((0, (Slope(1, 0), Slope(1, 0))),))
     m2 = ManifoldGraph({"H": repeated}, boundary_tori=(TorusEnd("H", 0),))
     assert any("repeats" in p for p in validate(m2).problems)
 
@@ -206,7 +208,7 @@ def test_problems_name_their_record_and_field():
     m = ManifoldGraph(
         {
             "A": SeifertBlockData(1, 2),
-            "H": HyperbolicBlockData(1, ((Slope(1, 0), Slope(1, 0)),)),
+            "H": HyperbolicBlockData(1, ((0, (Slope(1, 0), Slope(1, 0))),)),
         },
         (
             TorusEdge("T", TorusEnd("A", 0), TorusEnd("Z", 0), GluingMatrix(1, 0, 0, 2)),
