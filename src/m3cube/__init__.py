@@ -53,7 +53,6 @@ from .fileformats import (
     parse_manifold,
     parse_wallspace,
     serialize_complex,
-    serialize_manifold,
     serialize_wallspace,
 )
 from .homology import (

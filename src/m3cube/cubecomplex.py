@@ -7,13 +7,15 @@ corner index is coordinate j). Edges and squares are implicit: each cube's
 expressed by corner maps hitting repeated vertices, so an edge is
 determined by its endpoint pair (no parallel 1-cells).
 
-Two attributes, each built once on first use, hold everything derived.
-``rank`` gives each vertex its position in ``str`` order, the one vertex
-order of the package (``.cc`` output follows it too). ``index`` numbers
-the edges 0, 1, ... in rank order; edge k has darts 2k (low rank to high)
-and 2k+1 (the reverse). It keeps each square once, one union-find over
-darts (equally directed opposite sides of a square are parallel) and each
-vertex's incidence list of edge ids.
+Constructors are permissive: ``validate_complex`` alone decides validity,
+and a complex's ``report`` holds its verdict, computed once on first use.
+Two more such attributes hold everything derived. ``rank`` gives each
+vertex its position in ``str`` order, the one vertex order of the package
+(``.cc`` output follows it too). ``index`` numbers the edges 0, 1, ... in
+rank order; edge k has darts 2k (low rank to high) and 2k+1 (the reverse).
+It keeps each square once, one union-find over darts (equally directed
+opposite sides of a square are parallel) and each vertex's incidence list
+of edge ids.
 
 A hyperplane is the union of the dart classes of 2k and 2k+1, numbered by
 its least edge. The pathology scan follows the usual conventions: it is
@@ -30,25 +32,18 @@ condition (see ``check_npc``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import InputError
+from .manifold import Problem, ValidationReport
 
 
 @dataclass(frozen=True)
 class Cube:
     dim: int
     corners: tuple
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise InputError("explicit cubes have dimension >= 1")
-        if len(self.corners) != 2 ** self.dim:
-            raise InputError(
-                f"{self.dim}-cube needs {2 ** self.dim} corners, got {len(self.corners)}"
-            )
 
 
 @dataclass(frozen=True)
@@ -83,33 +78,49 @@ class CubeComplex:
         return {v: r for r, v in enumerate(sorted(self.vertices, key=str))}
 
     @cached_property
+    def report(self) -> ValidationReport:
+        return validate_complex(self)
+
+    @cached_property
     def index(self) -> ComplexIndex:
-        problems = validate_complex(self)
-        if problems:
-            raise InputError("invalid cube complex: " + "; ".join(problems))
+        if not self.report.ok:
+            raise InputError("invalid cube complex: " + "; ".join(self.report.problems))
         return _build_index(self)
 
 
-def validate_complex(c: CubeComplex) -> list[str]:
-    problems = []
-    vs = set(c.vertices)
-    if len(vs) != len(c.vertices):
-        problems.append("repeated vertex ids")
-    for idx, cube in enumerate(c.cubes):
-        corners = cube.corners
-        for v in corners:
-            if v not in vs:
-                problems.append(f"cube {idx}: unknown vertex {v}")
-        for a, b in _edge_corners(cube.dim):
-            if corners[a] == corners[b]:
-                problems.append(f"cube {idx}: degenerate edge at vertex {corners[a]}")
-    return problems
+def validate_complex(c: CubeComplex) -> ValidationReport:
+    """Every violation, at ``("vertex", j)`` or ``("cube", i)``. A cube's shape
+    is checked before its edges, and 2^dim is never built for a huge dim."""
+    problems: list[Problem] = []
+    vs = set()
+    for j, v in enumerate(c.vertices):
+        if v in vs:
+            problems.append(Problem(("vertex", j), None, f"vertex {v!r} redeclared"))
+        vs.add(v)
+    for i, cube in enumerate(c.cubes):
+        d, corners = cube.dim, cube.corners
+        n = len(corners)
+        if d < 1:
+            bad = ["cube dimension must be >= 1"]
+        elif d != n.bit_length() - 1 or n != 1 << d:
+            bad = [f"{d}-cube needs {2 ** d if d < 64 else f'2^{d}'} corners, got {n}"]
+        else:
+            bad = [f"unknown vertex {v}" for v in corners if v not in vs]
+            bad += [
+                f"degenerate edge at vertex {corners[a]}"
+                for a, b in _edge_corners(d)
+                if corners[a] == corners[b]
+            ]
+        for message in bad:
+            problems.append(Problem(("cube", i), f"cube {i}", message))
+    return ValidationReport(tuple(problems))
 
 
 def dimension(c: CubeComplex) -> int:
     return max((cube.dim for cube in c.cubes), default=0)
 
 
+@cache
 def _edge_corners(d: int) -> tuple[tuple[int, int], ...]:
     """Corner positions of a d-cube's 1-faces: (0-side, 1-side)."""
     return tuple(
@@ -117,6 +128,7 @@ def _edge_corners(d: int) -> tuple[tuple[int, int], ...]:
     )
 
 
+@cache
 def _square_corners(d: int) -> tuple[tuple[int, int, int, int], ...]:
     """Corner positions of a d-cube's 2-faces: (v00, v10, v01, v11), one per
     coordinate pair and base."""
@@ -141,17 +153,12 @@ def _least_first(q) -> tuple:
 def _build_index(c: CubeComplex) -> ComplexIndex:
     rank = c.rank
     edge_set, square_set = set(), set()
-    shapes: dict = {}  # dimension -> corner positions of its 1- and 2-faces
     for cube in c.cubes:
-        d = cube.dim
-        if d not in shapes:
-            shapes[d] = _edge_corners(d), _square_corners(d)
-        pairs, quads = shapes[d]
         rs = [rank[v] for v in cube.corners]
-        for a, b in pairs:
+        for a, b in _edge_corners(cube.dim):
             a, b = rs[a], rs[b]
             edge_set.add((a, b) if a < b else (b, a))
-        for q in quads:
+        for q in _square_corners(cube.dim):
             square_set.add(_least_first([rs[i] for i in q]))
     edges = tuple(sorted(edge_set))
     squares = tuple(sorted(square_set))

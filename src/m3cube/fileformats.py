@@ -5,16 +5,17 @@ All are line oriented UTF-8 with `#` comments. Parsing is exact: unknown
 keys, missing fields and non-integer tokens raise ParseError with a 1-based
 line and column.
 
-A .m3 file is read whole before any rule is checked, so its records may
-come in any order and a syntax error anywhere is reported first. The
-reader itself rejects only what a ManifoldGraph cannot hold: a block id or
-a hyperbolic frame declared twice, a second geometry record.
-``manifold.validate`` decides every other rule, and the problem in the
+A .m3, .ws or .cc file is read whole before any rule is checked, so its
+records may come in any order and a syntax error anywhere is reported
+first. The reader itself rejects only what the parsed value cannot hold: a
+block id or a hyperbolic frame declared twice, a second geometry or
+chambers record. ``manifold.validate``, ``validate_wallspace`` and
+``validate_complex`` decide every other rule, and the problem in the
 earliest record is reported at the line and column of that record or
-field; whole-graph problems (an unglued end, a disconnected graph) are
-reported against the last line.
+field; problems of no one record (an unglued end, a disconnected graph)
+are reported against the last line.
 
-Serialization is deterministic: records sorted by id, one per line.
+.ws and .cc serialization is deterministic, one record per line, and
 serialize(parse(text)) reparses to an equal value.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import re
 
-from .cubecomplex import Cube, CubeComplex, validate_complex
+from .cubecomplex import Cube, CubeComplex
 from .errors import ParseError
 from .manifold import (
     GluingMatrix,
@@ -32,10 +33,11 @@ from .manifold import (
     Slope,
     TorusEdge,
     TorusEnd,
+    ValidationReport,
     slope_normalize,
     validate,
 )
-from .wallspace import Wall, Wallspace, validate_wallspace
+from .wallspace import Wall, Wallspace
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -54,6 +56,18 @@ def _lines(text: str):
 
 def _fail(msg: str, line: int, col: int = 1):
     raise ParseError(msg, line, col)
+
+
+def _raise_first(report: ValidationReport, where: dict, last_line: int) -> None:
+    """Raise at the earliest located problem of a failed report; problems
+    ``where`` cannot locate are joined and reported at the last line."""
+    if report.ok:
+        return
+    located = [(where[p.where], p.message) for p in report.violations if p.where in where]
+    if located:
+        (line, col), message = min(located, key=lambda pair: pair[0])
+        _fail(message, line, col)
+    _fail("; ".join(report.problems), last_line)
 
 
 def _int(tok: str, line: int, col: int) -> int:
@@ -150,13 +164,7 @@ def parse_manifold(text: str) -> ManifoldGraph:
             _fail(f"unknown record {kind!r}", lineno, col0)
 
     m = ManifoldGraph(blocks, tuple(tori), tuple(boundary), geometry)
-    report = validate(m)
-    if not report.ok:
-        located = [(where[p.where], p.message) for p in report.violations if p.where in where]
-        if located:
-            (line, col), message = min(located, key=lambda pair: pair[0])
-            _fail(message, line, col)
-        _fail("; ".join(report.problems), last_line)
+    _raise_first(validate(m), where, last_line)
     return m
 
 
@@ -217,55 +225,16 @@ def _parse_hyperbolic(tokens, lineno, block_id, where) -> HyperbolicBlockData:
     return HyperbolicBlockData(boundaries, tuple(sorted(frames.items())))
 
 
-def serialize_manifold(m: ManifoldGraph) -> str:
-    out = []
-    for block_id in m.block_ids():
-        data = m.blocks[block_id]
-        if isinstance(data, SeifertBlockData):
-            line = (
-                f"block {block_id} seifert genus={data.genus}"
-                f" boundaries={data.num_boundary}"
-            )
-            if data.exceptional:
-                line += " exceptional=" + "".join(
-                    f"({a},{b})" for a, b in data.exceptional
-                )
-            line += f" b={data.section_obstruction}"
-            if data.is_thin:
-                line += " thin"
-        else:
-            line = f"block {block_id} hyperbolic boundaries={data.num_boundary}"
-            for i, (s, t) in data.framings:
-                line += f" frame{i}=({s.p},{s.q})|({t.p},{t.q})"
-        out.append(line)
-    for t in sorted(m.jsj_tori, key=lambda t: t.torus_id):
-        g = t.glue
-        out.append(
-            f"torus {t.torus_id} {t.end_a} {t.end_b} glue={g.a},{g.b},{g.c},{g.d}"
-        )
-    for end in sorted(m.boundary_tori):
-        out.append(f"boundary {end}")
-    if m.geometry_label is not None:
-        out.append(f"geometry {m.geometry_label}")
-    return "\n".join(out) + "\n"
-
-
 def parse_wallspace(text: str) -> Wallspace:
     n = None
     walls: list[Wall] = []
-    ids: set[str] = set()
+    where: dict[tuple, tuple[int, int]] = {}  # Problem.where -> (line, column)
     last_line = 1
 
     def idx_list(value: str, line: int, col: int) -> frozenset:
         if value == "":
             return frozenset()
-        out = set()
-        for part in value.split(","):
-            i = _int(part, line, col)
-            if not 0 <= i < n:
-                _fail(f"chamber {i} out of range 0..{n - 1}", line, col)
-            out.add(i)
-        return frozenset(out)
+        return frozenset(_int(part, line, col) for part in value.split(","))
 
     for lineno, tokens in _lines(text):
         last_line = lineno
@@ -277,21 +246,18 @@ def parse_wallspace(text: str) -> Wallspace:
             if len(rest) != 1:
                 _fail("chambers needs a count", lineno, col0)
             n = _int(rest[0][1], lineno, rest[0][0])
-            if n < 1:
-                _fail("need at least one chamber", lineno, rest[0][0])
+            where[("chambers",)] = (lineno, rest[0][0])
         elif kind == "wall":
-            if n is None:
-                _fail("chambers must come before walls", lineno, col0)
             if len(rest) != 3:
                 _fail("wall needs: <id> U=<list> V=<list>", lineno, col0)
             (_, wid), (ucol, utok), (vcol, vtok) = rest
-            if wid in ids:
-                _fail(f"wall {wid!r} redeclared", lineno, rest[0][0])
-            ids.add(wid)
             if not utok.startswith("U="):
                 _fail("expected U=<idx list>", lineno, ucol)
             if not vtok.startswith("V="):
                 _fail("expected V=<idx list>", lineno, vcol)
+            where[("wall", len(walls))] = (lineno, col0)
+            for field, (col, _tok) in zip(("id", "U", "V"), rest):
+                where[("wall", len(walls), field)] = (lineno, col)
             walls.append(
                 Wall(wid, idx_list(utok[2:], lineno, ucol), idx_list(vtok[2:], lineno, vcol))
             )
@@ -301,9 +267,7 @@ def parse_wallspace(text: str) -> Wallspace:
     if n is None:
         _fail("missing chambers record", last_line)
     ws = Wallspace(tuple(range(n)), tuple(walls))
-    problems = validate_wallspace(ws)
-    if problems:
-        _fail("; ".join(problems), last_line)
+    _raise_first(ws.report, where, last_line)
     return ws
 
 
@@ -323,8 +287,8 @@ def serialize_wallspace(ws: Wallspace) -> str:
 
 def parse_complex(text: str) -> CubeComplex:
     vertices: list[str] = []
-    seen: set[str] = set()
     cubes: list[Cube] = []
+    where: dict[tuple, tuple[int, int]] = {}  # Problem.where -> (line, column)
     last_line = 1
     for lineno, tokens in _lines(text):
         last_line = lineno
@@ -333,29 +297,18 @@ def parse_complex(text: str) -> CubeComplex:
         if kind == "vertex":
             if len(rest) != 1:
                 _fail("vertex needs one id", lineno, col0)
-            vid = rest[0][1]
-            if vid in seen:
-                _fail(f"vertex {vid!r} redeclared", lineno, rest[0][0])
-            seen.add(vid)
-            vertices.append(vid)
+            where[("vertex", len(vertices))] = (lineno, rest[0][0])
+            vertices.append(rest[0][1])
         elif kind == "cube":
             if len(rest) < 1:
                 _fail("cube needs a dimension", lineno, col0)
             d = _int(rest[0][1], lineno, rest[0][0])
-            if d < 1:
-                _fail("cube dimension must be >= 1", lineno, rest[0][0])
-            corners = [tok for _c, tok in rest[1:]]
-            n = len(corners)
-            if d != n.bit_length() - 1 or n != 1 << d:  # never builds 2^d for a huge d
-                need = 2 ** d if d < 64 else f"2^{d}"
-                _fail(f"{d}-cube needs {need} corners, got {n}", lineno, col0)
-            cubes.append(Cube(d, tuple(corners)))
+            where[("cube", len(cubes))] = (lineno, col0)
+            cubes.append(Cube(d, tuple(tok for _c, tok in rest[1:])))
         else:
             _fail(f"unknown record {kind!r}", lineno, col0)
     c = CubeComplex(tuple(vertices), tuple(cubes))
-    problems = validate_complex(c)
-    if problems:
-        _fail("; ".join(problems), last_line)
+    _raise_first(c.report, where, last_line)
     return c
 
 

@@ -256,12 +256,15 @@ def fiber_slope(b: SeifertBlockData, boundary_index: int) -> Slope:
 
 @dataclass(frozen=True)
 class Problem:
-    """One violation found by ``validate``.
+    """One violation found by a validator.
 
-    ``where`` names the record at fault and, when one field is, that field:
-    ``("block", id)``, ``("block", id, "frame<i>")``, ``("torus", i, f)``
-    for f in id, a, b, glue, ``("boundary", j, "end")``, ``("geometry",)``
-    or ``("geometry", "label")``; it is ``()`` for whole-graph problems.
+    ``where`` names the record at fault and, when one field is, that field.
+    ``validate`` uses ``("block", id)``, ``("block", id, "frame<i>")``,
+    ``("torus", i, f)`` for f in id, a, b, glue, ``("boundary", j, "end")``,
+    ``("geometry",)`` or ``("geometry", "label")``, and ``()`` for
+    whole-graph problems; ``validate_wallspace`` uses ``("chambers",)``,
+    ``("wall", i)`` and ``("wall", i, f)`` for f in id, U, V;
+    ``validate_complex`` uses ``("vertex", j)`` and ``("cube", i)``.
     """
 
     where: tuple
@@ -283,11 +286,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def __str__(self):
-        if self.ok:
-            return "ok"
-        return "\n".join(self.problems)
 
 
 def _block_problems(block_id: str, data: BlockData) -> list[Problem]:

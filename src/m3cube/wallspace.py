@@ -3,6 +3,8 @@
 A wallspace is a finite chamber set with walls; each wall is an ordered
 pair of half-spaces (U, V) covering the chambers. The halves may overlap,
 but neither may contain the other: such a wall separates nothing.
+``validate_wallspace`` alone decides validity, and a wallspace's
+``report`` holds its verdict, computed once on first use.
 
 The dual complex has one vertex per consistent orientation (a choice of
 half per wall, all pairwise intersecting), an edge when two orientations
@@ -20,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Sequence
 
 from .cubecomplex import Cube, CubeComplex
 from .errors import BudgetExceededError, InputError, NoSlopesError
-from .manifold import Slope
+from .manifold import Problem, Slope, ValidationReport
 
 
 @dataclass(frozen=True)
@@ -44,28 +46,42 @@ class Wallspace:
     chambers: tuple
     walls: tuple[Wall, ...]
 
+    @cached_property
+    def report(self) -> ValidationReport:
+        return validate_wallspace(self)
 
-def validate_wallspace(ws: Wallspace) -> list[str]:
-    problems = []
+
+def validate_wallspace(ws: Wallspace) -> ValidationReport:
+    """Every violation, located at ``("chambers",)``, ``("wall", i)`` or a
+    wall's field ``("wall", i, "id"|"U"|"V")``."""
+    problems: list[Problem] = []
     chambers = set(ws.chambers)
     if len(chambers) != len(ws.chambers):
-        problems.append("repeated chamber ids")
+        problems.append(Problem(("chambers",), None, "repeated chamber ids"))
     if not chambers:
-        problems.append("no chambers")
-    ids = [w.wall_id for w in ws.walls]
-    if len(set(ids)) != len(ids):
-        problems.append("repeated wall ids")
-    for w in ws.walls:
-        extra = (w.half_u | w.half_v) - chambers
-        if extra:
-            problems.append(f"wall {w.wall_id}: unknown chambers {sorted(map(str, extra))}")
-        if w.half_u | w.half_v != chambers:
-            problems.append(f"wall {w.wall_id}: halves do not cover the chambers")
+        problems.append(Problem(("chambers",), None, "need at least one chamber"))
+    ids = set()
+    for i, w in enumerate(ws.walls):
+
+        def add(message: str, *field: str) -> None:
+            problems.append(Problem(("wall", i, *field), f"wall {w.wall_id}", message))
+
+        if w.wall_id in ids:
+            problems.append(Problem(("wall", i, "id"), None, f"wall {w.wall_id!r} redeclared"))
+        ids.add(w.wall_id)
+        halves = w.half_u | w.half_v
+        if halves - chambers:
+            for field, half in zip("UV", w.sides()):
+                if half - chambers:
+                    extra = ", ".join(sorted(map(str, half - chambers)))
+                    add(f"chamber {extra} out of range", field)
+        elif halves != chambers:
+            add("halves do not cover the chambers")
         if not w.half_u or not w.half_v:
-            problems.append(f"wall {w.wall_id}: empty half")
+            add("empty half", "U" if not w.half_u else "V")
         elif w.half_u <= w.half_v or w.half_v <= w.half_u:
-            problems.append(f"wall {w.wall_id}: one half contains the other")
-    return problems
+            add("one half contains the other")
+    return ValidationReport(tuple(problems))
 
 
 def walls_cross(w1: Wall, w2: Wall) -> bool:
@@ -87,9 +103,8 @@ class DualComplex:
 
 
 def dual_cube_complex(ws: Wallspace, budget: int = 10 ** 6) -> DualComplex:
-    problems = validate_wallspace(ws)
-    if problems:
-        raise InputError("invalid wallspace: " + "; ".join(problems))
+    if not ws.report.ok:
+        raise InputError("invalid wallspace: " + "; ".join(ws.report.problems))
 
     walls = ws.walls
     n = len(walls)

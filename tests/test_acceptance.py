@@ -98,7 +98,7 @@ def test_criterion_02_pairwise_crossing_walls_dualize_to_one_cube():
             for i in range(k)
         )
         ws = Wallspace(chambers, walls)
-        assert validate_wallspace(ws) == []
+        assert validate_wallspace(ws).ok
         dual = dual_cube_complex(ws)
         assert len(dual.orientations) == 2 ** k
         assert dimension(dual.complex) == k
@@ -465,7 +465,7 @@ def test_criterion_09_majority_vote_of_dual_vertices_is_a_vertex():
     done = 0
     while done < 50:
         ws = _random_partition_wallspace(rng)
-        if validate_wallspace(ws):
+        if not validate_wallspace(ws).ok:
             continue
         dual = dual_cube_complex(ws)
         vertices = set(dual.orientations)

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from m3cube import cli, cubecomplex, fileformats
+from m3cube import cli, cubecomplex, wallspace
 from m3cube.cli import main
 from m3cube.fileformats import parse_complex, parse_wallspace
 
@@ -178,9 +178,6 @@ def test_special_check_long_strip(capsys, tmp_path):
 
 
 def test_special_check_work_counts(capsys, catalog, monkeypatch, tmp_path):
-    code, out, _ = run(capsys, "dual-cube", str(catalog / "crossing2.ws"))
-    path = tmp_path / "crossing2.cc"
-    path.write_text(out)
     calls = Counter()
 
     def counting(module, name):
@@ -194,14 +191,28 @@ def test_special_check_work_counts(capsys, catalog, monkeypatch, tmp_path):
 
     counting(cubecomplex, "_build_index")
     counting(cubecomplex, "validate_complex")
-    counting(fileformats, "validate_complex")
+    counting(wallspace, "validate_wallspace")
 
+    # each input is validated once per command, by the parser or the
+    # generator; the dual reads that verdict and its output is never checked
+    for argv in (
+        ["dual-cube", str(catalog / "crossing2.ws")],
+        ["torus-walls", "--slopes", "1/0,0/1", "--window", "1", "--dual"],
+    ):
+        calls.clear()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert calls == {"validate_wallspace": 1}, argv
+    path = tmp_path / "crossing2.cc"
+    path.write_text(run(capsys, "dual-cube", str(catalog / "crossing2.ws"))[1])
+
+    calls.clear()
     code, out, _ = run(capsys, "special-check", str(path))
     assert (code, out.splitlines()[-2:]) == (0, ["special", "npc: yes"])
-    # one index serves the pathology scan and the NPC check; the complex is
-    # validated by the parser and once more before its index is built
+    # one index serves the pathology scan and the NPC check, and the
+    # parser's validation serves the index
     assert calls["_build_index"] == 1
-    assert calls["validate_complex"] == 2
+    assert calls["validate_complex"] == 1
 
 
 def test_special_check_catalog_profiles(capsys, catalog):

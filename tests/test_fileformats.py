@@ -11,7 +11,6 @@ from m3cube.fileformats import (
     parse_plan,
     parse_wallspace,
     serialize_complex,
-    serialize_manifold,
     serialize_wallspace,
 )
 from m3cube.manifold import (
@@ -24,7 +23,14 @@ from m3cube.manifold import (
     TorusEnd,
     validate,
 )
-from m3cube.wallspace import dual_cube_complex, torus_line_wallspace
+from m3cube.cubecomplex import Cube, CubeComplex, validate_complex
+from m3cube.wallspace import (
+    Wall,
+    Wallspace,
+    dual_cube_complex,
+    torus_line_wallspace,
+    validate_wallspace,
+)
 
 MIXED = """\
 # two seifert pieces around a hyperbolic piece
@@ -47,17 +53,6 @@ def test_parse_manifold_round_trip():
     assert set(m.blocks) == {"A", "H", "B"}
     assert m.blocks["A"].exceptional == ((2, 1), (3, 1))
     assert m.blocks["H"].framings == ((0, (Slope(1, 0), Slope(0, 1))),)
-    out = serialize_manifold(m)
-    again = parse_manifold(out)
-    assert again == m
-    assert serialize_manifold(again) == out
-
-
-def test_serialize_orders_records():
-    out = serialize_manifold(parse_manifold(MIXED))
-    lines = out.splitlines()
-    assert [l.split()[1] for l in lines if l.startswith("block")] == ["A", "B", "H"]
-    assert [l.split()[1] for l in lines if l.startswith("torus")] == ["T1", "T2"]
 
 
 def test_manifold_comments_and_blanks_ignored():
@@ -364,7 +359,7 @@ def test_parse_wallspace_round_trip():
 @pytest.mark.parametrize(
     "text,fragment,line",
     [
-        ("wall w U=0 V=1\n", "chambers must come before walls", 1),
+        ("wall w U=0 V=1\n", "missing chambers record", 1),
         ("chambers 2\nchambers 2\n", "chambers redeclared", 2),
         ("chambers 0\n", "at least one chamber", 1),
         ("chambers 2\nwall w U=0 V=5\n", "out of range", 2),
@@ -379,6 +374,70 @@ def test_wallspace_error_positions(text, fragment, line):
     e = err(parse_wallspace, text)
     assert fragment in str(e)
     assert e.line == line
+
+
+def test_wallspace_records_in_any_order():
+    walls = "wall w U=0 V=1,2\nwall x U=0,1 V=2\n"
+    assert parse_wallspace(walls + "chambers 3\n") == parse_wallspace("chambers 3\n" + walls)
+
+
+def halves(u, v):
+    return frozenset(u), frozenset(v)
+
+
+# One case per rule of validate_wallspace that a file can break (chamber
+# ids are 0..n-1, so never repeated): the .ws text breaks only that rule,
+# the wallspace is the same input built directly, and the parser reports
+# the validator's message at the record or field at fault.
+WS_RULE_CASES = [
+    ("chambers 0\n", Wallspace((), ()), "need at least one chamber", 1, 10),
+    (
+        "chambers 2\nwall w U=0 V=1\nwall  w U=1 V=0\n",
+        Wallspace((0, 1), (Wall("w", *halves({0}, {1})), Wall("w", *halves({1}, {0})))),
+        "wall 'w' redeclared", 3, 7,
+    ),
+    (
+        "chambers 2\nwall w U=0,7 V=1\n",
+        Wallspace((0, 1), (Wall("w", *halves({0, 7}, {1})),)),
+        "chamber 7 out of range", 2, 8,
+    ),
+    (
+        "chambers 2\nwall w U=0 V=1,5,6\n",
+        Wallspace((0, 1), (Wall("w", *halves({0}, {1, 5, 6})),)),
+        "chamber 5, 6 out of range", 2, 12,
+    ),
+    (
+        "chambers 4\nwall a U=0,1 V=2,3\nwall b U=0 V=1,2\nwall c U=0,2 V=1,3\n",
+        Wallspace(
+            (0, 1, 2, 3),
+            (
+                Wall("a", *halves({0, 1}, {2, 3})),
+                Wall("b", *halves({0}, {1, 2})),
+                Wall("c", *halves({0, 2}, {1, 3})),
+            ),
+        ),
+        "halves do not cover the chambers", 3, 1,
+    ),
+    (
+        "chambers 2\nwall w U= V=0,1\n",
+        Wallspace((0, 1), (Wall("w", *halves((), {0, 1})),)),
+        "empty half", 2, 8,
+    ),
+    (
+        "wall w U=0 V=0,1\n  chambers 2\n",
+        Wallspace((0, 1), (Wall("w", *halves({0}, {0, 1})),)),
+        "one half contains the other", 1, 1,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text,ws,message,line,column", WS_RULE_CASES, ids=[c[2] for c in WS_RULE_CASES]
+)
+def test_wallspace_rule_violation_positions(text, ws, message, line, column):
+    e = err(parse_wallspace, text)
+    assert str(e) == f"line {line}, column {column}: {message}"
+    assert [p.message for p in validate_wallspace(ws).violations] == [message]
 
 
 def test_torus_wallspace_survives_round_trip():
@@ -431,6 +490,50 @@ def test_complex_error_positions(text, fragment, line):
     assert e.line == line
 
 
+# One case per rule of validate_complex, as for .ws above.
+CC_RULE_CASES = [
+    (
+        "vertex a\nvertex  a\n",
+        CubeComplex(("a", "a")),
+        "vertex 'a' redeclared", 2, 9,
+    ),
+    (
+        "vertex a\ncube 0 a\n",
+        CubeComplex(("a",), (Cube(0, ("a",)),)),
+        "cube dimension must be >= 1", 2, 1,
+    ),
+    (
+        "vertex a\nvertex b\n  cube 2 a b\n",
+        CubeComplex(("a", "b"), (Cube(2, ("a", "b")),)),
+        "2-cube needs 4 corners, got 2", 3, 3,
+    ),
+    (
+        "vertex a\ncube 70 a\n",
+        CubeComplex(("a",), (Cube(70, ("a",)),)),
+        "70-cube needs 2^70 corners, got 1", 2, 1,
+    ),
+    (
+        "vertex a\nvertex b\ncube 1 a z\ncube 1 a b\n",
+        CubeComplex(("a", "b"), (Cube(1, ("a", "z")), Cube(1, ("a", "b")))),
+        "unknown vertex z", 3, 1,
+    ),
+    (
+        "cube 1 a b\ncube 1 b b\nvertex a\nvertex b\n",
+        CubeComplex(("a", "b"), (Cube(1, ("a", "b")), Cube(1, ("b", "b")))),
+        "degenerate edge at vertex b", 2, 1,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text,c,message,line,column", CC_RULE_CASES, ids=[c[2] for c in CC_RULE_CASES]
+)
+def test_complex_rule_violation_positions(text, c, message, line, column):
+    e = err(parse_complex, text)
+    assert str(e) == f"line {line}, column {column}: {message}"
+    assert [p.message for p in validate_complex(c).violations] == [message]
+
+
 def test_catalog_positive_files_parse(catalog):
     parsers = {".m3": parse_manifold, ".ws": parse_wallspace, ".cc": parse_complex}
     seen = 0
@@ -452,12 +555,9 @@ def test_catalog_negative_files_fail(catalog):
 
 
 def test_catalog_serialization_is_a_fixed_point(catalog):
-    for path in sorted(catalog.glob("*.m3")):
-        if path.name.startswith("bad_"):
-            continue
-        m = parse_manifold(path.read_text())
-        out = serialize_manifold(m)
-        assert serialize_manifold(parse_manifold(out)) == out
+    for path in sorted(catalog.glob("*.ws")):
+        out = serialize_wallspace(parse_wallspace(path.read_text()))
+        assert serialize_wallspace(parse_wallspace(out)) == out
     for path in sorted(catalog.glob("*.cc")):
         c = parse_complex(path.read_text())
         out = serialize_complex(c)

@@ -23,22 +23,25 @@ from m3cube.wallspace import (
 def test_validate_wallspace_problems():
     w = Wall("A", frozenset({1}), frozenset({2}))
     dup = Wallspace((1, 2), (w, Wall("A", frozenset({2}), frozenset({1}))))
-    assert any("repeated wall ids" in p for p in validate_wallspace(dup))
+    assert any("'A' redeclared" in p for p in validate_wallspace(dup).problems)
 
-    assert any("no chambers" in p for p in validate_wallspace(Wallspace((), ())))
+    assert any("at least one chamber" in p for p in validate_wallspace(Wallspace((), ())).problems)
+
+    repeated = Wallspace((1, 1, 2), (w,))
+    assert any("repeated chamber ids" in p for p in validate_wallspace(repeated).problems)
 
     unknown = Wallspace((1, 2), (Wall("A", frozenset({1, 7}), frozenset({2})),))
-    assert any("unknown chambers" in p for p in validate_wallspace(unknown))
+    assert any("chamber 7 out of range" in p for p in validate_wallspace(unknown).problems)
 
     uncovering = Wallspace((1, 2, 3), (Wall("A", frozenset({1}), frozenset({2})),))
-    assert any("cover" in p for p in validate_wallspace(uncovering))
+    assert any("cover" in p for p in validate_wallspace(uncovering).problems)
 
     nested = Wallspace((1, 2), (Wall("A", frozenset({1, 2}), frozenset({2})),))
-    assert any("contains" in p for p in validate_wallspace(nested))
+    assert any("contains" in p for p in validate_wallspace(nested).problems)
 
     assert validate_wallspace(
         Wallspace((1, 2), (Wall("A", frozenset({1}), frozenset({2})),))
-    ) == []
+    ).ok
 
 
 def test_walls_cross_is_identity_based():
@@ -95,7 +98,7 @@ def test_dual_orientations_match_brute_force():
                 v |= {min(u)}
             walls.append(Wall(f"w{i}", u, frozenset(v)))
         ws = Wallspace(chambers, tuple(walls))
-        if validate_wallspace(ws):
+        if not validate_wallspace(ws).ok:
             continue
         dual = dual_cube_complex(ws)
 
@@ -170,7 +173,7 @@ def test_dual_cubes_match_brute_force():
     tested = overlapping = 0
     while tested < 300:
         ws = random_overlapping_wallspace(rng)
-        if validate_wallspace(ws):
+        if not validate_wallspace(ws).ok:
             continue
         tested += 1
         overlapping += any(w.half_u & w.half_v for w in ws.walls)
