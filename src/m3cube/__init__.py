@@ -25,7 +25,6 @@ from .cubecomplex import (
     NPCReport,
     PathologyReport,
     check_npc,
-    complex_from_cubes,
     derived_edges,
     derived_squares,
     dimension,

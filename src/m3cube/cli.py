@@ -7,6 +7,12 @@ with line numbers where available; 3 = internal error (a bug), with
 `internal error:` and the traceback on stderr. Reports on stdout are byte
 deterministic for a fixed input. `--json` replaces the report with one
 JSON object per run.
+
+Each `_cmd_*` function computes and returns `(code, record, text)`: the
+exit code, the JSON record without its `command` key, and the text report.
+It writes nothing and signals bad input by raising. `main` is the only code
+that writes a command's output, and it maps every error to its exit code
+and stderr message. This paragraph is left out of `--help`.
 """
 
 from __future__ import annotations
@@ -40,12 +46,15 @@ from .wallspace import dual_cube_complex, torus_line_wallspace
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _emit_json(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data[: e.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise ParseError("not UTF-8 text", line=line) from None
+    # the newline translation a text-mode open does
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _format_invariants(rank: int, torsion: list[int]) -> str:
@@ -58,12 +67,11 @@ def _format_invariants(rank: int, torsion: list[int]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple[int, dict, str]:
     text = _read(args.path)
     if args.path.endswith(".m3"):
         m = parse_manifold(text)
         record = {
-            "command": "validate",
             "kind": "manifold",
             "ok": True,
             "blocks": len(m.blocks),
@@ -77,7 +85,6 @@ def _cmd_validate(args) -> int:
     elif args.path.endswith(".ws"):
         ws = parse_wallspace(text)
         record = {
-            "command": "validate",
             "kind": "wallspace",
             "ok": True,
             "chambers": len(ws.chambers),
@@ -87,7 +94,6 @@ def _cmd_validate(args) -> int:
     elif args.path.endswith(".cc"):
         c = parse_complex(text)
         record = {
-            "command": "validate",
             "kind": "complex",
             "ok": True,
             "vertices": len(c.vertices),
@@ -96,151 +102,108 @@ def _cmd_validate(args) -> int:
         }
         line = (
             f"ok: {len(c.vertices)} vertices, {len(c.cubes)} cubes,"
-            f" dimension {dimension(c)}"
+            f" dimension {record['dimension']}"
         )
     else:
-        print(f"{args.path}: unknown extension (want .m3, .ws or .cc)", file=sys.stderr)
-        return 2
-    if args.json:
-        _emit_json(record)
-    else:
-        print(line)
-    return 0
+        raise ParseError("unknown extension (want .m3, .ws or .cc)")
+    return 0, record, line + "\n"
 
 
-def _cmd_classify(args) -> int:
-    m = parse_manifold(_read(args.path))
-    verdict = classify_vcs(m)
-    if args.json:
-        record = verdict.record()
-        record["command"] = "classify"
-        record["blocks"] = [v.record() for v in verdict.block_verdicts]
-        _emit_json(record)
-        return 0 if verdict.vcs else 1
+def _cmd_classify(args) -> tuple[int, dict, str]:
+    verdict = classify_vcs(parse_manifold(_read(args.path)))
+    record = verdict.record()
+    record["blocks"] = [v.record() for v in verdict.block_verdicts]
     yn = "yes" if verdict.vcs else "no"
     if verdict.reason.startswith("geometric"):
-        print(f"VCS: {yn} (geometric: {verdict.geometry_label})")
+        text = f"VCS: {yn} (geometric: {verdict.geometry_label})\n"
     else:
         kind = "chargeless" if verdict.vcs else "charged"
-        print(f"VCS: {yn} (nongeometric, {kind})")
-        sys.stdout.write(render_charge_report(verdict.block_verdicts))
-    return 0 if verdict.vcs else 1
+        text = f"VCS: {yn} (nongeometric, {kind})\n" + render_charge_report(verdict.block_verdicts)
+    return (0 if verdict.vcs else 1), record, text
 
 
-def _cmd_chargeless(args) -> int:
-    m = parse_manifold(_read(args.path))
-    verdicts = is_chargeless_manifold(modify_jsj(m))
+def _cmd_chargeless(args) -> tuple[int, dict, str]:
+    verdicts = is_chargeless_manifold(modify_jsj(parse_manifold(_read(args.path))))
     ok = all(v.chargeless for v in verdicts)
-    if args.json:
-        _emit_json(
-            {
-                "command": "chargeless",
-                "chargeless": ok,
-                "blocks": [v.record() for v in verdicts],
-            }
-        )
-        return 0 if ok else 1
-    print(f"chargeless: {'yes' if ok else 'no'}")
-    sys.stdout.write(render_charge_report(verdicts))
-    return 0 if ok else 1
+    record = {
+        "chargeless": ok,
+        "blocks": [v.record() for v in verdicts],
+    }
+    text = f"chargeless: {'yes' if ok else 'no'}\n" + render_charge_report(verdicts)
+    return (0 if ok else 1), record, text
 
 
-def _cmd_homology(args) -> int:
+def _seifert_block(args) -> SeifertBlockData:
+    """The Seifert block `--block` of the manifold at `path`."""
     m = parse_manifold(_read(args.path))
     if args.block not in m.blocks:
-        print(f"{args.path}: unknown block {args.block!r}", file=sys.stderr)
-        return 2
+        raise ParseError(f"unknown block {args.block!r}")
     data = m.blocks[args.block]
     if not isinstance(data, SeifertBlockData):
         raise NotSeifertError(f"block {args.block} is not Seifert fibered")
-    pres = presentation_h1(data)
+    return data
+
+
+def _cmd_homology(args) -> tuple[int, dict, str]:
+    pres = presentation_h1(_seifert_block(args))
     rank, torsion = pres.invariants()
-    if args.json:
-        _emit_json(
-            {
-                "command": "homology",
-                "block": args.block,
-                "generators": list(pres.generators),
-                "rank": rank,
-                "torsion": torsion,
-            }
-        )
-        return 0
-    print(f"block {args.block}: generators " + " ".join(pres.generators))
+    record = {
+        "block": args.block,
+        "generators": list(pres.generators),
+        "rank": rank,
+        "torsion": torsion,
+    }
+    lines = [f"block {args.block}: generators " + " ".join(pres.generators)]
     for j in range(pres.relations.ncols):
         terms = [
-            f"{pres.relations.rows[i][j]}*{pres.generators[i]}"
-            for i in range(pres.relations.nrows)
-            if pres.relations.rows[i][j] != 0
+            f"{row[j]}*{gen}"
+            for row, gen in zip(pres.relations.rows, pres.generators)
+            if row[j] != 0
         ]
-        print("relation: " + (" + ".join(terms) if terms else "0") + " = 0")
-    print("H1: " + _format_invariants(rank, torsion))
-    return 0
+        lines.append("relation: " + (" + ".join(terms) if terms else "0") + " = 0")
+    lines.append("H1: " + _format_invariants(rank, torsion))
+    return 0, record, "\n".join(lines) + "\n"
 
 
-def _cmd_euler(args) -> int:
-    m = parse_manifold(_read(args.path))
-    if args.block not in m.blocks:
-        print(f"{args.path}: unknown block {args.block!r}", file=sys.stderr)
-        return 2
-    data = m.blocks[args.block]
-    if not isinstance(data, SeifertBlockData):
-        raise NotSeifertError(f"block {args.block} is not Seifert fibered")
-    e = euler_number(data)
-    if args.json:
-        _emit_json({"command": "euler", "block": args.block, "euler": str(e)})
-    else:
-        print(f"block {args.block}: euler number {e}")
-    return 0
+def _cmd_euler(args) -> tuple[int, dict, str]:
+    e = euler_number(_seifert_block(args))
+    return 0, {"block": args.block, "euler": str(e)}, f"block {args.block}: euler number {e}\n"
 
 
-def _cmd_dual_cube(args) -> int:
-    ws = parse_wallspace(_read(args.path))
-    dual = dual_cube_complex(ws, budget=args.budget)
+def _cmd_dual_cube(args) -> tuple[int, dict, str]:
+    dual = dual_cube_complex(parse_wallspace(_read(args.path)), budget=args.budget)
     c = dual.complex
-    if args.json:
-        _emit_json(
-            {
-                "command": "dual-cube",
-                "vertices": len(c.vertices),
-                "cubes": len(c.cubes),
-                "dimension": dimension(c),
-                "walls": list(dual.wall_ids),
-            }
-        )
-        return 0
-    sys.stdout.write(serialize_complex(c))
-    return 0
+    record = {
+        "vertices": len(c.vertices),
+        "cubes": len(c.cubes),
+        "dimension": dimension(c),
+        "walls": list(dual.wall_ids),
+    }
+    return 0, record, "" if args.json else serialize_complex(c)
 
 
-def _cmd_special_check(args) -> int:
+def _cmd_special_check(args) -> tuple[int, dict, str]:
     c = parse_complex(_read(args.path))
     report = specialness_report(c)
     npc = check_npc(c).npc
-    if args.json:
-        _emit_json(
+    record = {
+        "special": report.special,
+        "npc": npc,
+        "hyperplanes": [
             {
-                "command": "special-check",
-                "special": report.special,
-                "npc": npc,
-                "hyperplanes": [
-                    {
-                        "index": f.index,
-                        "edges": len(report.planes[f.index].edges),
-                        "one_sided": f.one_sided,
-                        "self_intersecting": f.self_intersecting,
-                        "self_osculating": f.self_osculating,
-                        "indirect_osculation": f.indirect_osculation,
-                    }
-                    for f in report.flags
-                ],
-                "inter_osculating": [list(p) for p in report.inter_osculating],
+                "index": f.index,
+                "edges": len(report.planes[f.index].edges),
+                "one_sided": f.one_sided,
+                "self_intersecting": f.self_intersecting,
+                "self_osculating": f.self_osculating,
+                "indirect_osculation": f.indirect_osculation,
             }
-        )
-        return 0 if report.special else 1
-    sys.stdout.write(report.render())
-    print(f"npc: {'yes' if npc else 'no'}")
-    return 0 if report.special else 1
+            for f in report.flags
+        ],
+        "inter_osculating": [list(p) for p in report.inter_osculating],
+    }
+    text = report.render() + f"npc: {'yes' if npc else 'no'}\n"
+    return (0 if report.special else 1), record, text
 
 
 def _parse_slopes(text: str):
@@ -256,39 +219,20 @@ def _parse_slopes(text: str):
     return slopes
 
 
-def _cmd_torus_walls(args) -> int:
+def _cmd_torus_walls(args) -> tuple[int, dict, str]:
     slopes = _parse_slopes(args.slopes)
     ws = torus_line_wallspace(slopes, args.window)
-    if args.dual:
-        dual = dual_cube_complex(ws, budget=args.budget)
-        if args.json:
-            _emit_json(
-                {
-                    "command": "torus-walls",
-                    "slopes": [str(s) for s in slopes],
-                    "window": args.window,
-                    "chambers": len(ws.chambers),
-                    "walls": len(ws.walls),
-                    "dual_vertices": len(dual.complex.vertices),
-                    "dimension": dimension(dual.complex),
-                }
-            )
-            return 0
-        sys.stdout.write(serialize_complex(dual.complex))
-        return 0
-    if args.json:
-        _emit_json(
-            {
-                "command": "torus-walls",
-                "slopes": [str(s) for s in slopes],
-                "window": args.window,
-                "chambers": len(ws.chambers),
-                "walls": len(ws.walls),
-            }
-        )
-        return 0
-    sys.stdout.write(serialize_wallspace(ws))
-    return 0
+    record = {
+        "slopes": [str(s) for s in slopes],
+        "window": args.window,
+        "chambers": len(ws.chambers),
+        "walls": len(ws.walls),
+    }
+    if not args.dual:
+        return 0, record, "" if args.json else serialize_wallspace(ws)
+    c = dual_cube_complex(ws, budget=args.budget).complex
+    record.update(dual_vertices=len(c.vertices), dimension=dimension(c))
+    return 0, record, "" if args.json else serialize_complex(c)
 
 
 def _random_helly_instance(rng: random.Random):
@@ -318,56 +262,44 @@ def _random_helly_instance(rng: random.Random):
             return Tree(tuple(range(n)), tuple(edges)), subtrees
 
 
-def _cmd_helly_demo(args) -> int:
-    rng = random.Random(args.seed)
-    tree, subtrees = _random_helly_instance(rng)
+def _cmd_helly_demo(args) -> tuple[int, dict, str]:
+    tree, subtrees = _random_helly_instance(random.Random(args.seed))
     vertex, witness = helly_intersection(tree, subtrees)
     assert witness is None
     verified = all(vertex in s for s in subtrees)
-    if args.json:
-        _emit_json(
-            {
-                "command": "helly-demo",
-                "seed": args.seed,
-                "vertices": len(tree.vertices),
-                "subtrees": len(subtrees),
-                "common_vertex": vertex,
-                "verified": verified,
-            }
-        )
-        return 0 if verified else 1
-    print(
+    record = {
+        "seed": args.seed,
+        "vertices": len(tree.vertices),
+        "subtrees": len(subtrees),
+        "common_vertex": vertex,
+        "verified": verified,
+    }
+    text = (
         f"seed {args.seed}: tree with {len(tree.vertices)} vertices,"
         f" {len(subtrees)} pairwise-intersecting subtrees,"
         f" common vertex {vertex}"
-        + (" (verified)" if verified else " (VERIFICATION FAILED)")
+        + (" (verified)\n" if verified else " (VERIFICATION FAILED)\n")
     )
-    return 0 if verified else 1
+    return (0 if verified else 1), record, text
 
 
-def _cmd_assembly_plan(args) -> int:
+def _cmd_assembly_plan(args) -> tuple[int, dict, str]:
     plan = plan_surface_assembly(parse_plan(_read(args.path)))
-    if args.json:
-        _emit_json(
-            {
-                "command": "assembly-plan",
-                "scale": plan.core_copies,
-                "caps": {tid: list(ab) for tid, ab in sorted(plan.caps.items())},
-            }
-        )
-        return 0
-    print(f"scale {plan.core_copies}")
-    for tid in sorted(plan.caps):
-        a, b = plan.caps[tid]
-        print(f"torus {tid}: caps {a} {b}")
-    return 0
+    caps = sorted(plan.caps.items())
+    record = {
+        "scale": plan.core_copies,
+        "caps": {tid: list(ab) for tid, ab in caps},
+    }
+    text = f"scale {plan.core_copies}\n"
+    text += "".join(f"torus {tid}: caps {a} {b}\n" for tid, (a, b) in caps)
+    return 0, record, text
 
 
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="one JSON record instead of text")
 
-    top = argparse.ArgumentParser(prog="m3cube", description=__doc__)
+    top = argparse.ArgumentParser(prog="m3cube", description=__doc__.rsplit("\n\n", 1)[0])
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", parents=[common], help="parse and validate a .m3/.ws/.cc file")
@@ -423,7 +355,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     path = getattr(args, "path", None)
     try:
-        return args.func(args)
+        code, record, text = args.func(args)
+        if args.json:
+            record["command"] = args.command
+            print(json.dumps(record, sort_keys=True))
+        else:
+            sys.stdout.write(text)
+        return code
     except ParseError as e:
         where = f"{path}: " if path else ""
         print(f"{where}{e}", file=sys.stderr)

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from .errors import InputError
 from .manifold import Problem, ValidationReport
@@ -404,9 +403,3 @@ def check_npc(c: CubeComplex) -> NPCReport:
             problems.append(f"vertex {v}: empty {size}-clique in link (not flag)")
 
     return NPCReport(not problems, tuple(dict.fromkeys(problems)))
-
-
-def complex_from_cubes(cube_specs: Iterable[tuple[int, Sequence]]) -> CubeComplex:
-    """Convenience builder: vertices are collected from the corner lists."""
-    cubes = tuple(Cube(d, tuple(corners)) for d, corners in cube_specs)
-    return CubeComplex(tuple(dict.fromkeys(v for cube in cubes for v in cube.corners)), cubes)

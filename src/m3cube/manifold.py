@@ -95,9 +95,6 @@ class GluingMatrix:
         # det is its own reciprocal when it is +-1
         return GluingMatrix(det * self.d, -det * self.b, -det * self.c, det * self.a)
 
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
     def __str__(self):
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 

@@ -124,10 +124,16 @@ def test_homology_t2xi(capsys, catalog):
     assert out.endswith("H1: Z^2\n")
 
 
+@pytest.mark.parametrize("command", ["homology", "euler"])
+def test_unknown_block(capsys, catalog, command):
+    path = str(catalog / "h3.m3")
+    assert run(capsys, command, path, "--block", "X") == (2, "", f"{path}: unknown block 'X'\n")
+    assert run(capsys, command, "--json", path, "--block", "X") == (
+        2, "", f"{path}: unknown block 'X'\n"
+    )
+
+
 def test_homology_errors(capsys, catalog):
-    code, _, err = run(capsys, "homology", str(catalog / "h3.m3"), "--block", "X")
-    assert code == 2
-    assert "unknown block 'X'" in err
     code, _, err = run(capsys, "homology", str(catalog / "h3.m3"), "--block", "M")
     assert code == 2
     assert "not Seifert fibered" in err
@@ -388,9 +394,9 @@ def test_missing_file(capsys):
 def test_unknown_extension(tmp_path, capsys):
     p = tmp_path / "data.txt"
     p.write_text("x\n")
-    code, _, err = run(capsys, "validate", str(p))
-    assert code == 2
-    assert "unknown extension" in err
+    want = (2, "", f"{p}: unknown extension (want .m3, .ws or .cc)\n")
+    assert run(capsys, "validate", str(p)) == want
+    assert run(capsys, "validate", "--json", str(p)) == want
 
 
 def test_usage_errors():
@@ -400,3 +406,203 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("validate", "x.m3"),
+        ("classify", "x.m3"),
+        ("special-check", "x.cc"),
+        ("assembly-plan", "x.plan"),
+    ],
+)
+def test_non_utf8_input_exits_2(capsys, tmp_path, command, name):
+    # the bad byte sits on the third line, after a CRLF and a lone CR
+    path = tmp_path / name
+    path.write_bytes(b"# one\r\n# two\rblock \xff seifert genus=0 boundaries=0\n")
+    assert run(capsys, command, str(path)) == (2, "", f"{path}: line 3: not UTF-8 text\n")
+    path.write_bytes(b"block \xff seifert genus=0 boundaries=0\n")
+    assert run(capsys, command, str(path)) == (2, "", f"{path}: line 1: not UTF-8 text\n")
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_other_line_endings_read_as_newlines(capsys, catalog, tmp_path, newline):
+    for name, command in [
+        ("chargeless_mixed.m3", "classify"),
+        ("crossing2.ws", "dual-cube"),
+        ("pincer.cc", "special-check"),
+        ("caps_demo.plan", "assembly-plan"),
+    ]:
+        path = tmp_path / name
+        path.write_bytes((catalog / name).read_bytes().replace(b"\n", newline))
+        assert run(capsys, command, str(path)) == run(capsys, command, str(catalog / name))
+
+
+# One case per subcommand, and validate on each file kind. Each record is
+# worked out from the catalog file by hand:
+# - crossing2.ws: two crossing walls over four chambers; the dual is one
+#   square (4 vertices, 4 edges and the square: 5 cubes).
+# - t2xi.m3: T^2 x I has H1 = Z^2 on the generators d1, d2, h.
+# - s3.m3: e = -(b + 1/2 + 1/3 + 1/5) with b = -1, so e = -1/30.
+# - chargeless_mixed.m3 and charged_mixed.m3: both neighbours of B hand it
+#   the slope (1,0), so weights (1,1) work; in the charged file T3 hands it
+#   (1,1) and the first end is forced to weight zero.
+# - moebius_square.cc: the square a b b a folds its one hyperplane onto
+#   itself across a single edge.
+# - torus slopes 1/0,0/1 at window 1: three lines of each slope cut the
+#   torus into a 4 x 4 grid; 2/1 alone gives three parallel walls.
+# - caps_demo.plan: cap fractions 1/2, 2/3, 2/4 and 0/5 have the common
+#   denominator 60, so the caps are 30, 40, 30 and 0.
+JSON_CASES = [
+    (
+        ["validate", "{cat}/h3.m3"],
+        0,
+        {
+            "kind": "manifold",
+            "ok": True,
+            "blocks": 1,
+            "tori": 0,
+            "boundary": 1,
+            "geometry": "H3",
+        },
+    ),
+    (
+        ["validate", "{cat}/crossing2.ws"],
+        0,
+        {"kind": "wallspace", "ok": True, "chambers": 4, "walls": 2},
+    ),
+    (
+        ["validate", "{cat}/square.cc"],
+        0,
+        {"kind": "complex", "ok": True, "vertices": 4, "cubes": 1, "dimension": 2},
+    ),
+    (
+        ["classify", "{cat}/chargeless_mixed.m3"],
+        0,
+        {
+            "vcs": True,
+            "reason": "nongeometric-chargeless",
+            "geometry": None,
+            "failing_blocks": [],
+            "blocks": [
+                {
+                    "block": "B",
+                    "chargeless": True,
+                    "witness": [1, 1],
+                    "obstruction": None,
+                    "ends": ["T2[b]@0:(1,0)", "T3[a]@1:(1,0)"],
+                }
+            ],
+        },
+    ),
+    (
+        ["chargeless", "{cat}/charged_mixed.m3"],
+        1,
+        {
+            "chargeless": False,
+            "blocks": [
+                {
+                    "block": "B",
+                    "chargeless": False,
+                    "witness": None,
+                    "obstruction": 0,
+                    "ends": ["T2[b]@0:(1,0)", "T3[a]@1:(1,1)"],
+                }
+            ],
+        },
+    ),
+    (
+        ["homology", "{cat}/t2xi.m3", "--block", "M"],
+        0,
+        {"block": "M", "generators": ["d1", "d2", "h"], "rank": 2, "torsion": []},
+    ),
+    (
+        ["euler", "{cat}/s3.m3", "--block", "M"],
+        0,
+        {"block": "M", "euler": "-1/30"},
+    ),
+    (
+        ["dual-cube", "{cat}/crossing2.ws"],
+        0,
+        {"vertices": 4, "cubes": 5, "dimension": 2, "walls": ["a", "b"]},
+    ),
+    (
+        ["special-check", "{cat}/moebius_square.cc"],
+        1,
+        {
+            "special": False,
+            "npc": False,
+            "hyperplanes": [
+                {
+                    "index": 0,
+                    "edges": 1,
+                    "one_sided": True,
+                    "self_intersecting": True,
+                    "self_osculating": False,
+                    "indirect_osculation": False,
+                }
+            ],
+            "inter_osculating": [],
+        },
+    ),
+    (
+        ["torus-walls", "--slopes", "2/1"],
+        0,
+        {"slopes": ["(2,1)"], "window": 1, "chambers": 4, "walls": 3},
+    ),
+    (
+        ["torus-walls", "--slopes", "1/0,0/1", "--dual"],
+        0,
+        {
+            "slopes": ["(1,0)", "(0,1)"],
+            "window": 1,
+            "chambers": 16,
+            "walls": 6,
+            "dual_vertices": 16,
+            "dimension": 2,
+        },
+    ),
+    (
+        ["helly-demo", "--seed", "7"],
+        0,
+        {"seed": 7, "vertices": 10, "subtrees": 4, "common_vertex": 1, "verified": True},
+    ),
+    (
+        ["assembly-plan", "{cat}/caps_demo.plan"],
+        0,
+        {"scale": 60, "caps": {"T1": [30, 40], "T2": [30, 0]}},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, golden", JSON_CASES, ids=[" ".join(c[0]) for c in JSON_CASES]
+)
+def test_json_record(capsys, catalog, argv, code, golden):
+    argv = [a.format(cat=catalog) for a in argv]
+    text_code, text_out, _ = run(capsys, *argv)
+    assert text_out
+    json_code, out, err = run(capsys, *argv, "--json")
+    rec = json.loads(out)
+    assert out == json.dumps(rec, sort_keys=True) + "\n"
+    assert rec.pop("command") == argv[0]
+    assert rec == golden
+    assert (json_code, err) == (text_code, "")
+    assert json_code == code
+
+
+def test_json_never_serializes(capsys, catalog, monkeypatch):
+    def refuse(_):
+        raise AssertionError("serialized under --json")
+
+    monkeypatch.setattr(cli, "serialize_complex", refuse)
+    monkeypatch.setattr(cli, "serialize_wallspace", refuse)
+    for argv in (
+        ["dual-cube", str(catalog / "crossing2.ws")],
+        ["torus-walls", "--slopes", "1/0,0/1"],
+        ["torus-walls", "--slopes", "1/0,0/1", "--dual"],
+    ):
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, ""), argv
+        assert json.loads(out)["command"] == argv[0]

@@ -13,7 +13,6 @@ from m3cube.cubecomplex import (
     Cube,
     CubeComplex,
     check_npc,
-    complex_from_cubes,
     derived_edges,
     derived_squares,
     dimension,
@@ -24,6 +23,12 @@ from m3cube.cubecomplex import (
 from m3cube.errors import InputError
 from m3cube.manifold import Slope
 from m3cube.wallspace import Wall, Wallspace, dual_cube_complex, torus_line_wallspace
+
+
+def complex_from_cubes(cube_specs):
+    """Vertices are collected from the corner lists, in order of first use."""
+    cubes = tuple(Cube(d, tuple(corners)) for d, corners in cube_specs)
+    return CubeComplex(tuple(dict.fromkeys(v for cube in cubes for v in cube.corners)), cubes)
 
 
 def k_cube(k, prefix="v"):
