@@ -61,7 +61,6 @@ from .homology import (
     kernel_lattice,
     presentation_h1,
     smith_normal_form,
-    solve_column_image,
 )
 from .manifold import (
     GEOMETRY_LABELS,

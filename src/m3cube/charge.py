@@ -30,7 +30,6 @@ from .homology import (
     class_in_h1,
     kernel_lattice,
     presentation_h1,
-    solve_column_image,
     vanishing_coordinate,
 )
 from .manifold import (
@@ -114,10 +113,11 @@ class ChargeVerdict:
 def is_chargeless_block(m: ManifoldGraph, block_id: str) -> ChargeVerdict:
     """Decide chargelessness of one interior block, with certificate.
 
-    The witness (when present) is verified by substitution: the weighted sum
-    of fiber classes is solved against the relation matrix over the
-    integers. When no witness exists, ``obstruction_index`` names an end
-    whose weight is forced to zero on the whole solution lattice.
+    The witness (when present) is verified by substitution: it comes with
+    relation coefficients x from the lattice rows, and sum(w_i * z_i) + R*x
+    is checked to be 0 by integer multiplication, not by a second solve.
+    When no witness exists, ``obstruction_index`` names an end whose weight
+    is forced to zero on the whole solution lattice.
     """
     if block_id not in m.blocks:
         raise InputError(f"unknown block {block_id}")
@@ -131,15 +131,17 @@ def is_chargeless_block(m: ManifoldGraph, block_id: str) -> ChargeVerdict:
     pres = presentation_h1(data)
     classes = [class_in_h1(pres, e.boundary_index, e.slope) for e in ends]
     lattice = kernel_lattice(classes, pres.relations)
-    witness = all_nonzero_vector(lattice)
+    solution = all_nonzero_vector(lattice)
+    witness = None if solution is None else solution[: len(ends)]
     obstruction = None if witness is not None else vanishing_coordinate(lattice)
 
     diagnostic = None
     if witness is not None:
-        total = [0] * len(pres.generators)
+        x = solution[len(ends) :]
+        residual = [sum(a * b for a, b in zip(row, x)) for row in pres.relations.rows]
         for w, z in zip(witness, classes):
-            total = [x + w * y for x, y in zip(total, z)]
-        if solve_column_image(pres.relations, total) is None:
+            residual = [r + w * c for r, c in zip(residual, z)]
+        if any(residual):
             raise AssertionError(
                 f"witness for {block_id} failed the substitution check"
             )

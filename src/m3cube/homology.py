@@ -2,8 +2,8 @@
 
 Everything here runs over Python's arbitrary-precision integers: Smith normal
 form with recorded unimodular transforms, abelianized block presentations,
-integer image membership, and the solution lattice of weighted fiber-class
-sums used by the chargeless test.
+and the solution lattice of weighted fiber-class sums used by the chargeless
+test, whose rows carry the relation coefficients that certify them.
 """
 
 from __future__ import annotations
@@ -38,14 +38,6 @@ class IntMatrix:
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.rows[ij[0]][ij[1]]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.rows)
-
-    def mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != self.ncols:
-            raise DimensionMismatchError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
     def __str__(self):
         return "[" + "; ".join(" ".join(str(x) for x in r) for r in self.rows) + "]"
@@ -166,32 +158,21 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
     )
 
 
+def _without_zero_rows(rows: Sequence[Sequence[int]]) -> IntMatrix:
+    """The nonzero rows, or the first row alone when all are zero.
+
+    A zero row is a generator in no relation: a free summand of the cokernel
+    that adds nothing to the kernel, while the SNF's U is rows x rows.
+    """
+    return IntMatrix.from_rows([r for r in rows if any(r)] or rows[:1])
+
+
 def abelian_invariants(R: IntMatrix) -> tuple[int, list[int]]:
     """(free rank, torsion orders > 1) of Z^rows / column-span(R)."""
-    diag = smith_normal_form(R).diagonal()
+    diag = smith_normal_form(_without_zero_rows(R.rows)).diagonal()
     rank = sum(1 for d in diag if d != 0)
     torsion = [d for d in diag if d > 1]
     return R.nrows - rank, torsion
-
-
-def solve_column_image(R: IntMatrix, w: Sequence[int]) -> tuple[int, ...] | None:
-    """An integer x with R*x = w, or None when w is outside the image."""
-    if len(w) != R.nrows:
-        raise DimensionMismatchError("target vector has wrong length")
-    snf = smith_normal_form(R)
-    c = snf.U.mul_vector(w)
-    k = min(R.nrows, R.ncols)
-    y = [0] * R.ncols
-    for i in range(R.nrows):
-        d = snf.D[i, i] if i < k else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-    return snf.V.mul_vector(y)
 
 
 @dataclass(frozen=True)
@@ -275,18 +256,27 @@ def class_in_h1(
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """A sublattice of Z^dim, given by linearly independent rows in HNF."""
+    """A sublattice of Z^dim, given by linearly independent rows in HNF.
+
+    Rows from ``kernel_lattice`` go on past their first ``dim`` entries, the
+    weights b, with relation coefficients x: sum(b_i * z_i) + R*x = 0.
+    """
 
     dim: int
-    vectors: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+
+    @property
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        """The rows cut to their first ``dim`` entries."""
+        return tuple(r[: self.dim] for r in self.rows)
 
     @property
     def rank(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
 
 
 def _row_hnf(vectors: list[list[int]], dim: int) -> tuple[tuple[int, ...], ...]:
-    """Row-style Hermite normal form; returns the nonzero rows."""
+    """Row-style Hermite normal form in the first ``dim`` coordinates."""
     work = [list(v) for v in vectors]
     m = len(work)
     r = 0
@@ -317,7 +307,7 @@ def _row_hnf(vectors: list[list[int]], dim: int) -> tuple[tuple[int, ...], ...]:
             r += 1
         if r == m:
             break
-    return tuple(tuple(row) for row in work[:r] if any(row))
+    return tuple(tuple(row) for row in work[:r])
 
 
 def kernel_lattice(
@@ -327,7 +317,8 @@ def kernel_lattice(
 
     ``fiber_classes`` are the presentation-coordinate vectors z_i. The result
     is the full solution lattice L, computed from the integer kernel of the
-    stacked matrix [z_1 ... z_k | R] projected to the weight coordinates.
+    stacked matrix [z_1 ... z_k | R]. Each row is a whole kernel vector
+    (b, x) in Hermite form on the weights b, so it certifies itself.
     """
     k = len(fiber_classes)
     ngen = relations.nrows
@@ -338,28 +329,24 @@ def kernel_lattice(
             )
     if k == 0:
         return LatticeBasis(0, ())
-    stacked_rows = [
+    M = _without_zero_rows([
         [fiber_classes[j][i] for j in range(k)] + list(relations.rows[i])
         for i in range(ngen)
-    ]
-    M = IntMatrix.from_rows(stacked_rows)
+    ])
     snf = smith_normal_form(M)
-    ncols = M.ncols
-    nd = min(M.nrows, ncols)
+    diag = snf.diagonal()
     kernel_cols = [
-        snf.V.column(j)
-        for j in range(ncols)
-        if j >= nd or snf.D[j, j] == 0
+        list(col)
+        for j, col in enumerate(zip(*snf.V.rows))
+        if j >= len(diag) or diag[j] == 0
     ]
-    projected = [list(col[:k]) for col in kernel_cols]
-    basis = _row_hnf(projected, k) if projected else ()
-    return LatticeBasis(k, basis)
+    return LatticeBasis(k, _row_hnf(kernel_cols, k))
 
 
 def vanishing_coordinate(L: LatticeBasis) -> int | None:
     """Index of a coordinate that is zero on all of L, or None."""
     for i in range(L.dim):
-        if all(v[i] == 0 for v in L.vectors):
+        if all(v[i] == 0 for v in L.rows):
             return i
     return None
 
@@ -370,20 +357,20 @@ def all_nonzero_vector(L: LatticeBasis) -> tuple[int, ...] | None:
     None is returned exactly when some coordinate vanishes on the whole
     lattice. Otherwise v = sum_j t^j b_j works for some t <= k(r-1)+1: each
     coordinate of v is t times a nonzero polynomial of degree < r in t, so
-    the bad values of t number at most k(r-1).
+    the bad values of t number at most k(r-1). v is summed over whole rows,
+    so it keeps the relation coefficients certifying it.
     """
     if L.dim == 0:
         return ()
     if vanishing_coordinate(L) is not None:
         return None
-    r = len(L.vectors)
-    bound = L.dim * (r - 1) + 1
+    bound = L.dim * (L.rank - 1) + 1
     for t in range(1, bound + 1):
-        v = [0] * L.dim
+        v = [0] * len(L.rows[0])
         scale = 1
-        for b in L.vectors:
+        for b in L.rows:
             scale *= t
             v = [x + scale * y for x, y in zip(v, b)]
-        if all(v):
+        if all(v[: L.dim]):
             return tuple(v)
     raise AssertionError("witness bound violated; lattice basis inconsistent")

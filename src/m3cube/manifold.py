@@ -124,10 +124,6 @@ class SeifertBlockData:
     section_obstruction: int = 0
     is_thin: bool = False
 
-    @property
-    def kind(self) -> str:
-        return "seifert"
-
 
 @dataclass(frozen=True)
 class HyperbolicBlockData:
@@ -140,10 +136,6 @@ class HyperbolicBlockData:
 
     num_boundary: int
     framings: tuple[tuple[int, tuple[Slope, Slope]], ...] = ()
-
-    @property
-    def kind(self) -> str:
-        return "hyperbolic"
 
 
 BlockData = SeifertBlockData | HyperbolicBlockData

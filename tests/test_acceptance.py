@@ -301,6 +301,27 @@ def test_criterion_03_chargeless_agrees_with_independent_oracle():
     assert time.monotonic() - t0 < 60.0
 
 
+def test_criterion_03_lattice_rows_carry_their_certificates():
+    # every basis row (b, x) of the solution lattice satisfies Z*b + R*x = 0,
+    # with Z and R built here, not read from the presentation under test
+    rng = random.Random(313)
+    rows_checked = 0
+    for _ in range(200):
+        m, k = _random_interior_instance(rng)
+        verdict = is_chargeless_block(m, "C")
+        z_cols, rel_cols = _scratch_charge_system(
+            m.blocks["C"], _my_transported_fibers(m, k)
+        )
+        Z = sympy.Matrix(list(zip(*(z_cols[e.boundary_index] for e in verdict.ends))))
+        R = sympy.Matrix(list(zip(*rel_cols)))
+        for row in verdict.lattice.rows:
+            b, x = row[:k], row[k:]
+            assert len(x) == R.cols
+            assert Z * sympy.Matrix(b) + R * sympy.Matrix(x) == sympy.zeros(R.rows, 1)
+            rows_checked += 1
+    assert rows_checked >= 100
+
+
 # --- criterion 4: textbook first homology ---------------------------------
 
 

@@ -104,12 +104,18 @@ def test_classify_work_counts(monkeypatch):
     verdict = classify_vcs(m)
     assert len(verdict.block_verdicts) == interior
     assert verdict.failing_blocks == ("B150", "B151")
-    charged = len(verdict.failing_blocks)
     assert calls["interior_blocks"] == 1
     assert calls["presentation_h1"] == interior
-    # kernel lattice for every block, plus the witness substitution check
-    # for each chargeless one
-    assert calls["smith_normal_form"] == 2 * (interior - charged) + charged
+    # the kernel lattice's one SNF per block, charged or not: witnesses are
+    # checked by multiplication, with no second solve
+    assert calls["smith_normal_form"] == interior
+
+    # a closed interior block has no ends, so no lattice and no SNF at all
+    calls.clear()
+    closed = is_chargeless_manifold(ManifoldGraph({"M": SeifertBlockData(2, 0)}))
+    assert [v.witness for v in closed] == [()]
+    assert calls["presentation_h1"] == 1
+    assert calls["smith_normal_form"] == 0
 
 
 def test_adjacent_fibers_transported():

@@ -6,9 +6,10 @@ from collections import Counter
 
 import pytest
 
-from m3cube import cli, cubecomplex, wallspace
+from m3cube import charge, cli, cubecomplex, wallspace
 from m3cube.cli import main
 from m3cube.fileformats import parse_complex, parse_wallspace
+from m3cube.homology import LatticeBasis, kernel_lattice
 
 
 def run(capsys, *argv):
@@ -288,6 +289,45 @@ def test_internal_error_exits_3(capsys, catalog, monkeypatch, error):
     assert out == ""
     assert err.startswith("internal error:\nTraceback (most recent call last):\n")
     assert err.endswith(f"{type(error).__name__}: {error}\n")
+
+
+def test_failed_witness_check_exits_3(capsys, catalog, monkeypatch):
+    # one corrupted relation coefficient is a bug, never a "charged" exit 1
+    def corrupted(classes, relations):
+        L = kernel_lattice(classes, relations)
+        first = L.rows[0]
+        return LatticeBasis(L.dim, ((*first[:-1], first[-1] + 1),) + L.rows[1:])
+
+    monkeypatch.setattr(charge, "kernel_lattice", corrupted)
+    code, out, err = run(capsys, "classify", str(catalog / "chargeless_mixed.m3"))
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error:\nTraceback (most recent call last):\n")
+    assert err.endswith("AssertionError: witness for B failed the substitution check\n")
+
+
+def test_surface_genus_costs_no_snf_work(capsys, tmp_path):
+    # the 2g surface generators are in no relation and must cost no SNF
+    # work: a U over all 6003 generators of genus 3000 has 36 million entries
+    ring = tmp_path / "ring.m3"
+    ring.write_text(
+        "block A seifert genus=3000 boundaries=2\n"
+        "block B seifert genus=0 boundaries=2\n"
+        "torus T1 A.1 B.0 glue=0,1,1,0\n"
+        "torus T2 B.1 A.0 glue=0,1,1,0\n"
+    )
+    closed = tmp_path / "closed.m3"
+    closed.write_text("block A seifert genus=2000 boundaries=0 b=3\n")
+    for argv, last in (
+        (("classify", str(ring)), "block B: chargeless, witness (1,1) filled-euler 0"),
+        (("homology", str(ring), "--block", "A"), "H1: Z^6002"),
+        (("chargeless", str(closed)), "block A: chargeless, witness () filled-euler 0"),
+        (("homology", str(closed), "--block", "A"), "H1: Z^4000 + Z/3"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == last
 
 
 def test_huge_boundary_count_fails_fast(capsys, tmp_path):

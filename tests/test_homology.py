@@ -22,7 +22,6 @@ from m3cube.homology import (
     kernel_lattice,
     presentation_h1,
     smith_normal_form,
-    solve_column_image,
     vanishing_coordinate,
 )
 from m3cube.manifold import SeifertBlockData
@@ -106,28 +105,6 @@ def test_abelian_invariants():
     assert (rank, torsion) == (1, [6])
 
 
-def test_solve_column_image():
-    R = IntMatrix.from_rows([[2, 0], [0, 3]])
-    assert solve_column_image(R, [4, 6]) == (2, 2)
-    assert solve_column_image(R, [1, 0]) is None
-    assert solve_column_image(R, [0, 0]) == (0, 0)
-    with pytest.raises(DimensionMismatchError):
-        solve_column_image(R, [1, 2, 3])
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_solve_column_image_round_trip(rng):
-    n, m = rng.randint(1, 4), rng.randint(1, 4)
-    R = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)])
-    x = [rng.randint(-4, 4) for _ in range(m)]
-    w = [sum(R.rows[i][j] * x[j] for j in range(m)) for i in range(n)]
-    y = solve_column_image(R, w)
-    assert y is not None
-    back = [sum(R.rows[i][j] * y[j] for j in range(m)) for i in range(n)]
-    assert back == w
-
-
 def test_presentation_trefoil():
     b = SeifertBlockData(0, 1, exceptional=((2, 1), (3, 1)))
     pres = presentation_h1(b)
@@ -187,13 +164,20 @@ def test_kernel_lattice_and_witness():
     z2 = [0, 1, 0]  # d2
     L = kernel_lattice([z1, z2], pres.relations)
     assert L.vectors == ((1, 1),)
-    assert all_nonzero_vector(L) == (1, 1)
+    v = all_nonzero_vector(L)
+    assert v[:2] == (1, 1)
     assert vanishing_coordinate(L) is None
+    # the row past the weights is the certificate: d1 + d2 + R*x = 0
+    R = Matrix(pres.relations.rows)
+    assert Matrix([z1, z2]).T * Matrix(v[:2]) + R * Matrix(v[2:]) == Matrix.zeros(3, 1)
 
     # d2 + h cannot be matched: fiber coordinate kills the second weight
     L2 = kernel_lattice([z1, [0, 1, 1]], pres.relations)
     assert all_nonzero_vector(L2) is None
     assert vanishing_coordinate(L2) is not None
+
+    with pytest.raises(DimensionMismatchError):
+        kernel_lattice([[1, 0]], pres.relations)
 
 
 def test_all_nonzero_vector_needs_combination():
