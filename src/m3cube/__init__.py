@@ -57,8 +57,6 @@ from .fileformats import (
 from .homology import (
     IntMatrix,
     abelian_invariants,
-    all_nonzero_vector,
-    kernel_lattice,
     presentation_h1,
     smith_normal_form,
 )

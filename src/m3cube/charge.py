@@ -1,21 +1,39 @@
 """Chargeless detection and the resulting group-theoretic classification.
 
 An interior block (Seifert, no manifold boundary, no hyperbolic neighbor)
-is chargeless when nonzero integer weights can be assigned to its torus
-ends so that the weighted sum of the neighboring fiber classes vanishes in
-the block's first homology. A manifold with tori is virtually compact
-special exactly when every interior block passes; without tori the verdict
-is a table lookup on the geometry label.
+is chargeless when nonzero integer weights w_i can be put on its torus ends
+so that the weighted sum of the neighboring fiber classes vanishes in the
+block's first homology: Z*w + R*x = 0 for some integer relation
+coefficients x. A manifold with tori is virtually compact special exactly
+when every interior block passes; without tori the verdict is a table
+lookup on the geometry label.
+
+Matching coefficients generator by generator decides the question in
+closed form. End i, on its own boundary index k, sees the transported
+neighbor fiber (p_i, q_i), whose class is p_i*d_k + q_i*h. Exceptional
+fiber (a_j, b_j) gives the relation a_j*q_j + b_j*h, and the section gives
+sum(q_j) + sum(d_k), with coefficients x_j and s. Generator q_j reads
+a_j*x_j + s = 0, generator d_k reads p_i*w_i + s = 0, and h reads
+sum(q_i*w_i) + sum(b_j*x_j) = 0; the surface generators are in no relation
+and no class. Hence:
+
+- every p_i != 0: the solutions are the multiples of w_i = L/p_i,
+  x_j = L/a_j, s = -L with L = lcm(a_j, p_i), and they exist exactly when
+  the relative Euler number sum(b_j/a_j) + sum(q_i/p_i) is 0;
+- some p_i = 0 (the fibers match; the slope is then (0,1)): s = 0 forces
+  every x_j and every weight with p_i != 0 to 0, and h leaves the sum of
+  the p = 0 weights equal to 0, so all-nonzero weights exist exactly when
+  all n >= 2 ends have p = 0.
 """
 
 from __future__ import annotations
 
-import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .decomposition import interior_blocks, is_interior, modify_jsj
+from .decomposition import interior_blocks, is_interior
 from .errors import (
     FiberFillingError,
     InputError,
@@ -24,14 +42,7 @@ from .errors import (
     NotInteriorError,
     NotSeifertError,
 )
-from .homology import (
-    LatticeBasis,
-    all_nonzero_vector,
-    class_in_h1,
-    kernel_lattice,
-    presentation_h1,
-    vanishing_coordinate,
-)
+from .homology import LatticeBasis, class_in_h1, presentation_h1
 from .manifold import (
     ManifoldGraph,
     SeifertBlockData,
@@ -39,8 +50,6 @@ from .manifold import (
     fiber_slope,
     transport_slope,
 )
-
-log = logging.getLogger(__name__)
 
 GOOD_GEOMETRIES = frozenset({"H3", "E3", "H2xR", "S2xR", "S3", "SFS-with-boundary"})
 BAD_GEOMETRIES = frozenset({"Sol", "Nil", "SL2R"})
@@ -113,11 +122,17 @@ class ChargeVerdict:
 def is_chargeless_block(m: ManifoldGraph, block_id: str) -> ChargeVerdict:
     """Decide chargelessness of one interior block, with certificate.
 
-    The witness (when present) is verified by substitution: it comes with
-    relation coefficients x from the lattice rows, and sum(w_i * z_i) + R*x
-    is checked to be 0 by integer multiplication, not by a second solve.
-    When no witness exists, ``obstruction_index`` names an end whose weight
-    is forced to zero on the whole solution lattice.
+    The solution lattice comes from the closed form in the module
+    docstring, in rows (w, x): one row (L/p_i, ..., L/a_j, ..., -L) when
+    every p_i != 0 and the relative Euler number is 0, none when it is not,
+    and rows e_i - e_last over the p = 0 ends (x = 0) when some p_i = 0. A
+    block with no ends is chargeless vacuously, with witness (). The
+    witness is the sum of the rows, and sum(w_i * z_i) + R*x is checked to
+    be 0 by integer multiplication against the block's presentation. When
+    no witness exists, ``obstruction_index`` is the first end whose weight
+    is zero on every row. ``euler_diagnostic`` is the negated relative
+    Euler number when no p_i is 0, and the block's own Euler number when it
+    has no ends.
     """
     if block_id not in m.blocks:
         raise InputError(f"unknown block {block_id}")
@@ -128,24 +143,51 @@ def is_chargeless_block(m: ManifoldGraph, block_id: str) -> ChargeVerdict:
         raise NotInteriorError(f"block {block_id} is not interior")
 
     ends = adjacent_fiber_slopes(m, block_id)
-    pres = presentation_h1(data)
-    classes = [class_in_h1(pres, e.boundary_index, e.slope) for e in ends]
-    lattice = kernel_lattice(classes, pres.relations)
-    solution = all_nonzero_vector(lattice)
-    witness = None if solution is None else solution[: len(ends)]
-    obstruction = None if witness is not None else vanishing_coordinate(lattice)
-
+    if sorted(e.boundary_index for e in ends) != list(range(data.num_boundary)):
+        raise InputError(f"block {block_id} does not glue each boundary index once")
+    n = len(ends)
+    fibers = data.exceptional
+    matched = [i for i, e in enumerate(ends) if e.slope.p == 0]
+    rows: tuple[tuple[int, ...], ...] = ()
     diagnostic = None
-    if witness is not None:
-        x = solution[len(ends) :]
+    if not ends:
+        diagnostic = euler_number(data)
+    elif matched:
+        zeros = (0,) * (len(fibers) + 1)
+        rows = tuple(
+            tuple(int(j == i) - int(j == matched[-1]) for j in range(n)) + zeros
+            for i in matched[:-1]
+        )
+    else:
+        relative = sum(Fraction(b, a) for a, b in fibers) + sum(
+            Fraction(e.slope.q, e.slope.p) for e in ends
+        )
+        diagnostic = -relative
+        if relative == 0:
+            lcm = math.lcm(*(a for a, _ in fibers), *(e.slope.p for e in ends))
+            rows = (
+                tuple(lcm // e.slope.p for e in ends)
+                + tuple(lcm // a for a, _ in fibers)
+                + (-lcm,),
+            )
+    lattice = LatticeBasis(n, rows)
+
+    obstruction = next(
+        (i for i in range(n) if not any(r[i] for r in lattice.rows)), None
+    )
+    witness = None
+    if obstruction is None:
+        solution = [sum(column) for column in zip(*lattice.rows)]
+        witness, x = tuple(solution[:n]), solution[n:]
+        pres = presentation_h1(data)
         residual = [sum(a * b for a, b in zip(row, x)) for row in pres.relations.rows]
-        for w, z in zip(witness, classes):
+        for w, e in zip(witness, ends):
+            z = class_in_h1(pres, e.boundary_index, e.slope)
             residual = [r + w * c for r, c in zip(residual, z)]
-        if any(residual):
+        if any(residual) or 0 in witness:
             raise AssertionError(
                 f"witness for {block_id} failed the substitution check"
             )
-        diagnostic = _euler_diagnostic(data, ends, witness)
 
     return ChargeVerdict(
         block_id,
@@ -156,31 +198,6 @@ def is_chargeless_block(m: ManifoldGraph, block_id: str) -> ChargeVerdict:
         lattice,
         diagnostic,
     )
-
-
-def _euler_diagnostic(
-    data: SeifertBlockData,
-    ends: Sequence[AdjacentFiber],
-    witness: Sequence[int],
-) -> Fraction | None:
-    """Euler number of the block filled along the transported fibers.
-
-    Only defined when every transported fiber misses the block's own fiber
-    direction (p != 0) and every boundary torus carries exactly one end.
-    With all-ones weights the value is 0; other weights are informational.
-    """
-    if any(e.slope.p == 0 for e in ends):
-        return None
-    by_index = sorted(ends, key=lambda e: e.boundary_index)
-    if [e.boundary_index for e in by_index] != list(range(data.num_boundary)):
-        return None
-    filled = fill_along_slopes(data, [e.slope for e in by_index])
-    value = euler_number(filled)
-    if value != 0 and any(w != 1 for w in witness):
-        log.warning(
-            "filled Euler number %s with non-unit weights %s", value, tuple(witness)
-        )
-    return value
 
 
 def is_chargeless_manifold(m: ManifoldGraph) -> tuple[ChargeVerdict, ...]:
@@ -253,8 +270,10 @@ def classify_vcs(m: ManifoldGraph) -> ClassificationVerdict:
 
     No tori: the geometry label decides (the five closed good geometries and
     Seifert pieces with boundary are virtually compact special; Sol, Nil and
-    the twisted line bundles over H2 are not). With tori: run the thin-block
-    modification and test every interior block.
+    the twisted line bundles over H2 are not). With tori: test every
+    interior block. The thin-block modification would change no verdict: a
+    thin block has a hyperbolic neighbor or a boundary torus, so it is never
+    interior, and it leaves every Seifert block's ends as they are.
     """
     if not m.jsj_tori:
         label = m.geometry_label
@@ -268,8 +287,7 @@ def classify_vcs(m: ManifoldGraph) -> ClassificationVerdict:
             return ClassificationVerdict(False, "geometric-bad", label)
         raise InputError(f"unknown geometry label {label!r}")
 
-    modified = modify_jsj(m)
-    verdicts = is_chargeless_manifold(modified)
+    verdicts = is_chargeless_manifold(m)
     ok = all(v.chargeless for v in verdicts)
     reason = "nongeometric-chargeless" if ok else "nongeometric-charged"
     return ClassificationVerdict(ok, reason, None, verdicts)

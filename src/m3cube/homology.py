@@ -1,9 +1,10 @@
 """Exact integer linear algebra for first homology of Seifert blocks.
 
 Everything here runs over Python's arbitrary-precision integers: Smith normal
-form with recorded unimodular transforms, abelianized block presentations,
-and the solution lattice of weighted fiber-class sums used by the chargeless
-test, whose rows carry the relation coefficients that certify them.
+form with recorded unimodular transforms, abelianized block presentations
+and fiber classes in them, and the container for the chargeless test's
+solution lattice, whose rows carry the relation coefficients that certify
+them.
 """
 
 from __future__ import annotations
@@ -256,10 +257,10 @@ def class_in_h1(
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """A sublattice of Z^dim, given by linearly independent rows in HNF.
+    """The chargeless solution lattice of a block with ``dim`` ends.
 
-    Rows from ``kernel_lattice`` go on past their first ``dim`` entries, the
-    weights b, with relation coefficients x: sum(b_i * z_i) + R*x = 0.
+    Each row is a whole solution: its first ``dim`` entries are the weights
+    b, the rest are relation coefficients x with sum(b_i * z_i) + R*x = 0.
     """
 
     dim: int
@@ -269,108 +270,3 @@ class LatticeBasis:
     def vectors(self) -> tuple[tuple[int, ...], ...]:
         """The rows cut to their first ``dim`` entries."""
         return tuple(r[: self.dim] for r in self.rows)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-def _row_hnf(vectors: list[list[int]], dim: int) -> tuple[tuple[int, ...], ...]:
-    """Row-style Hermite normal form in the first ``dim`` coordinates."""
-    work = [list(v) for v in vectors]
-    m = len(work)
-    r = 0
-    for c in range(dim):
-        while True:
-            nz = [i for i in range(r, m) if work[i][c]]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(work[i][c]), i))
-            work[r], work[i0] = work[i0], work[r]
-            if work[r][c] < 0:
-                work[r] = [-x for x in work[r]]
-            done = True
-            for i in range(r + 1, m):
-                if work[i][c]:
-                    q = work[i][c] // work[r][c]
-                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-                    if work[i][c]:
-                        done = False
-            if done:
-                break
-        if r < m and work[r][c]:
-            # reduce the rows above to make the form canonical
-            for i in range(r):
-                q = work[i][c] // work[r][c]
-                if q:
-                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-            r += 1
-        if r == m:
-            break
-    return tuple(tuple(row) for row in work[:r])
-
-
-def kernel_lattice(
-    fiber_classes: Sequence[Sequence[int]], relations: IntMatrix
-) -> LatticeBasis:
-    """Weights n with sum(n_i * z_i) in the integer image of the relations.
-
-    ``fiber_classes`` are the presentation-coordinate vectors z_i. The result
-    is the full solution lattice L, computed from the integer kernel of the
-    stacked matrix [z_1 ... z_k | R]. Each row is a whole kernel vector
-    (b, x) in Hermite form on the weights b, so it certifies itself.
-    """
-    k = len(fiber_classes)
-    ngen = relations.nrows
-    for z in fiber_classes:
-        if len(z) != ngen:
-            raise DimensionMismatchError(
-                f"class vector of length {len(z)}, presentation has {ngen} generators"
-            )
-    if k == 0:
-        return LatticeBasis(0, ())
-    M = _without_zero_rows([
-        [fiber_classes[j][i] for j in range(k)] + list(relations.rows[i])
-        for i in range(ngen)
-    ])
-    snf = smith_normal_form(M)
-    diag = snf.diagonal()
-    kernel_cols = [
-        list(col)
-        for j, col in enumerate(zip(*snf.V.rows))
-        if j >= len(diag) or diag[j] == 0
-    ]
-    return LatticeBasis(k, _row_hnf(kernel_cols, k))
-
-
-def vanishing_coordinate(L: LatticeBasis) -> int | None:
-    """Index of a coordinate that is zero on all of L, or None."""
-    for i in range(L.dim):
-        if all(v[i] == 0 for v in L.rows):
-            return i
-    return None
-
-
-def all_nonzero_vector(L: LatticeBasis) -> tuple[int, ...] | None:
-    """A lattice vector with every coordinate nonzero, if one exists.
-
-    None is returned exactly when some coordinate vanishes on the whole
-    lattice. Otherwise v = sum_j t^j b_j works for some t <= k(r-1)+1: each
-    coordinate of v is t times a nonzero polynomial of degree < r in t, so
-    the bad values of t number at most k(r-1). v is summed over whole rows,
-    so it keeps the relation coefficients certifying it.
-    """
-    if L.dim == 0:
-        return ()
-    if vanishing_coordinate(L) is not None:
-        return None
-    bound = L.dim * (L.rank - 1) + 1
-    for t in range(1, bound + 1):
-        v = [0] * len(L.rows[0])
-        scale = 1
-        for b in L.rows:
-            scale *= t
-            v = [x + scale * y for x, y in zip(v, b)]
-        if all(v[: L.dim]):
-            return tuple(v)
-    raise AssertionError("witness bound violated; lattice basis inconsistent")

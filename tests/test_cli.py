@@ -9,7 +9,7 @@ import pytest
 from m3cube import charge, cli, cubecomplex, wallspace
 from m3cube.cli import main
 from m3cube.fileformats import parse_complex, parse_wallspace
-from m3cube.homology import LatticeBasis, kernel_lattice
+from m3cube.homology import LatticeBasis
 
 
 def run(capsys, *argv):
@@ -71,6 +71,16 @@ def test_chargeless_command(capsys, catalog):
     assert code == 1
     assert out.startswith("chargeless: no\n")
     assert "forced zero weight" in out
+
+
+def test_closed_block_filled_euler_keeps_the_section_obstruction(capsys, catalog):
+    # a closed block has no ends to fill, so its filled Euler number is its
+    # own e = -(b + sum b_j/a_j): s3.m3 has b = -1 over (2,1)(3,1)(5,1), and
+    # nil.m3 and sl2r.m3 are circle bundles with b = 1
+    for name, e in (("s3.m3", "-1/30"), ("nil.m3", "-1"), ("sl2r.m3", "-1")):
+        code, out, err = run(capsys, "chargeless", str(catalog / name))
+        assert (code, err) == (0, "")
+        assert out == f"chargeless: yes\nblock M: chargeless, witness () filled-euler {e}\n"
 
 
 def test_validate_text_and_json(capsys, catalog):
@@ -293,12 +303,11 @@ def test_internal_error_exits_3(capsys, catalog, monkeypatch, error):
 
 def test_failed_witness_check_exits_3(capsys, catalog, monkeypatch):
     # one corrupted relation coefficient is a bug, never a "charged" exit 1
-    def corrupted(classes, relations):
-        L = kernel_lattice(classes, relations)
-        first = L.rows[0]
-        return LatticeBasis(L.dim, ((*first[:-1], first[-1] + 1),) + L.rows[1:])
+    def corrupted(dim, rows):
+        first = rows[0]
+        return LatticeBasis(dim, ((*first[:-1], first[-1] + 1),) + rows[1:])
 
-    monkeypatch.setattr(charge, "kernel_lattice", corrupted)
+    monkeypatch.setattr(charge, "LatticeBasis", corrupted)
     code, out, err = run(capsys, "classify", str(catalog / "chargeless_mixed.m3"))
     assert (code, out) == (3, "")
     assert err.startswith("internal error:\nTraceback (most recent call last):\n")
@@ -320,7 +329,7 @@ def test_surface_genus_costs_no_snf_work(capsys, tmp_path):
     for argv, last in (
         (("classify", str(ring)), "block B: chargeless, witness (1,1) filled-euler 0"),
         (("homology", str(ring), "--block", "A"), "H1: Z^6002"),
-        (("chargeless", str(closed)), "block A: chargeless, witness () filled-euler 0"),
+        (("chargeless", str(closed)), "block A: chargeless, witness () filled-euler -3"),
         (("homology", str(closed), "--block", "A"), "H1: Z^4000 + Z/3"),
     ):
         start = time.perf_counter()
@@ -399,6 +408,16 @@ def test_helly_demo(capsys):
         code, out, _ = run(capsys, "helly-demo", "--seed", str(seed))
         assert code == 0
         assert out.endswith("(verified)\n")
+
+
+def test_helly_demo_failed_check_exits_3(capsys, monkeypatch):
+    # the subtrees meet pairwise by construction, so a vertex outside one of
+    # them is a bug, never a negative verdict
+    monkeypatch.setattr(cli, "helly_intersection", lambda tree, subtrees: (-1, None))
+    code, out, err = run(capsys, "helly-demo", "--seed", "7")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error:\nTraceback (most recent call last):\n")
+    assert err.endswith("AssertionError: common vertex -1 misses a subtree of seed 7\n")
 
 
 def test_helly_demo_json(capsys):

@@ -1,4 +1,4 @@
-"""Integer linear algebra: SNF, presentations, kernel lattices.
+"""Integer linear algebra: SNF and presentations.
 
 sympy is used here as an independent oracle only; the package itself never
 imports it.
@@ -14,15 +14,12 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from m3cube.charge import euler_number
-from m3cube.errors import DimensionMismatchError, NotClosedError
+from m3cube.errors import NotClosedError
 from m3cube.homology import (
     IntMatrix,
     abelian_invariants,
-    all_nonzero_vector,
-    kernel_lattice,
     presentation_h1,
     smith_normal_form,
-    vanishing_coordinate,
 )
 from m3cube.manifold import SeifertBlockData
 
@@ -156,66 +153,6 @@ def test_closed_genus0_torsion_order_is_product_times_euler():
         assert order == math.prod(a for a, _ in exceptional) * abs(e)
         assert pres.invariants()[0] == 0
         checked += 1
-
-
-def test_kernel_lattice_and_witness():
-    pres = presentation_h1(SeifertBlockData(0, 2))
-    z1 = [1, 0, 0]  # d1
-    z2 = [0, 1, 0]  # d2
-    L = kernel_lattice([z1, z2], pres.relations)
-    assert L.vectors == ((1, 1),)
-    v = all_nonzero_vector(L)
-    assert v[:2] == (1, 1)
-    assert vanishing_coordinate(L) is None
-    # the row past the weights is the certificate: d1 + d2 + R*x = 0
-    R = Matrix(pres.relations.rows)
-    assert Matrix([z1, z2]).T * Matrix(v[:2]) + R * Matrix(v[2:]) == Matrix.zeros(3, 1)
-
-    # d2 + h cannot be matched: fiber coordinate kills the second weight
-    L2 = kernel_lattice([z1, [0, 1, 1]], pres.relations)
-    assert all_nonzero_vector(L2) is None
-    assert vanishing_coordinate(L2) is not None
-
-    with pytest.raises(DimensionMismatchError):
-        kernel_lattice([[1, 0]], pres.relations)
-
-
-def test_all_nonzero_vector_needs_combination():
-    # basis (1,0),(0,1): neither basis vector works alone but (1,1) does
-    from m3cube.homology import LatticeBasis
-
-    L = LatticeBasis(2, ((1, 0), (0, 1)))
-    v = all_nonzero_vector(L)
-    assert v is not None and 0 not in v
-
-    L0 = LatticeBasis(3, ((1, 0, 0), (0, 0, 1)))
-    assert all_nonzero_vector(L0) is None
-    assert vanishing_coordinate(L0) == 1
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_all_nonzero_vector_is_sound_and_complete(rng):
-    from m3cube.homology import LatticeBasis, _row_hnf
-
-    k = rng.randint(1, 4)
-    nvec = rng.randint(0, 3)
-    vecs = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(nvec)]
-    basis = _row_hnf(vecs, k)
-    L = LatticeBasis(k, basis)
-    v = all_nonzero_vector(L)
-    if v is None:
-        # some coordinate must vanish on every basis vector
-        i = vanishing_coordinate(L)
-        assert i is not None
-        assert all(b[i] == 0 for b in basis)
-    else:
-        assert 0 not in v
-        # v must lie in the row span: solve against the HNF rows
-        M = Matrix(list(basis)).T if basis else Matrix.zeros(k, 0)
-        sol = M.gauss_jordan_solve(Matrix(list(v)))[0] if basis else None
-        if basis:
-            assert all(x.q == 1 for x in sol)
 
 
 def test_euler_number_requires_closed():
