@@ -34,14 +34,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .decomposition import interior_blocks, is_interior
-from .errors import (
-    FiberFillingError,
-    InputError,
-    MissingGeometryLabelError,
-    NotClosedError,
-    NotInteriorError,
-    NotSeifertError,
-)
+from .errors import InputError
 from .homology import LatticeBasis, class_in_h1, presentation_h1
 from .manifold import (
     ManifoldGraph,
@@ -81,9 +74,7 @@ def adjacent_fiber_slopes(m: ManifoldGraph, block_id: str) -> tuple[AdjacentFibe
             to_here = edge.glue
         neighbor = m.blocks[there.block_id]
         if not isinstance(neighbor, SeifertBlockData):
-            raise NotInteriorError(
-                f"block {block_id} has hyperbolic neighbor {there.block_id}"
-            )
+            raise InputError(f"block {block_id} has hyperbolic neighbor {there.block_id}")
         fiber = fiber_slope(neighbor, there.boundary_index)
         out.append(
             AdjacentFiber(
@@ -138,9 +129,9 @@ def is_chargeless_block(m: ManifoldGraph, block_id: str) -> ChargeVerdict:
         raise InputError(f"unknown block {block_id}")
     data = m.blocks[block_id]
     if not isinstance(data, SeifertBlockData):
-        raise NotSeifertError(f"block {block_id} is not Seifert fibered")
+        raise InputError(f"block {block_id} is not Seifert fibered")
     if not is_interior(m, block_id):
-        raise NotInteriorError(f"block {block_id} is not interior")
+        raise InputError(f"block {block_id} is not interior")
 
     ends = adjacent_fiber_slopes(m, block_id)
     if sorted(e.boundary_index for e in ends) != list(range(data.num_boundary)):
@@ -214,13 +205,11 @@ def fill_along_slopes(b: SeifertBlockData, slopes: Sequence[Slope]) -> SeifertBl
     number.
     """
     if len(slopes) != b.num_boundary:
-        raise InputError(
-            f"{b.num_boundary} boundary tori but {len(slopes)} filling slopes"
-        )
+        raise InputError(f"{b.num_boundary} boundary tori but {len(slopes)} filling slopes")
     extra: list[tuple[int, int]] = []
     for k, s in enumerate(slopes):
         if s.p == 0:
-            raise FiberFillingError(f"slope {s} at boundary {k} is the fiber")
+            raise InputError(f"slope {s} at boundary {k} is the fiber")
         if (s.p, s.q) != (1, 0):
             extra.append((s.p, s.q))
     return SeifertBlockData(
@@ -235,7 +224,7 @@ def fill_along_slopes(b: SeifertBlockData, slopes: Sequence[Slope]) -> SeifertBl
 def euler_number(b: SeifertBlockData) -> Fraction:
     """e = -(section obstruction + sum of b_j / a_j), exact."""
     if b.num_boundary != 0:
-        raise NotClosedError("Euler number needs a closed Seifert block")
+        raise InputError("Euler number needs a closed Seifert block")
     total = Fraction(b.section_obstruction)
     for a, bb in b.exceptional:
         total += Fraction(bb, a)
@@ -278,9 +267,7 @@ def classify_vcs(m: ManifoldGraph) -> ClassificationVerdict:
     if not m.jsj_tori:
         label = m.geometry_label
         if label is None:
-            raise MissingGeometryLabelError(
-                "manifold has no JSJ tori and no geometry label"
-            )
+            raise InputError("manifold has no JSJ tori and no geometry label")
         if label in GOOD_GEOMETRIES:
             return ClassificationVerdict(True, "geometric-good", label)
         if label in BAD_GEOMETRIES:

@@ -26,12 +26,7 @@ import traceback
 from .charge import classify_vcs, euler_number, is_chargeless_manifold, render_charge_report
 from .cubecomplex import check_npc, dimension, specialness_report
 from .decomposition import Tree, helly_intersection, plan_surface_assembly
-from .errors import (
-    BudgetExceededError,
-    M3CubeError,
-    NotSeifertError,
-    ParseError,
-)
+from .errors import BudgetExceededError, InputError, M3CubeError, ParseError
 from .fileformats import (
     parse_complex,
     parse_manifold,
@@ -49,12 +44,10 @@ def _read(path: str) -> str:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as e:
         line = data[: e.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
         raise ParseError("not UTF-8 text", line=line) from None
-    # the newline translation a text-mode open does
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _format_invariants(rank: int, torsion: list[int]) -> str:
@@ -140,24 +133,27 @@ def _seifert_block(args) -> SeifertBlockData:
         raise ParseError(f"unknown block {args.block!r}")
     data = m.blocks[args.block]
     if not isinstance(data, SeifertBlockData):
-        raise NotSeifertError(f"block {args.block} is not Seifert fibered")
+        raise InputError(f"block {args.block} is not Seifert fibered")
     return data
 
 
 def _cmd_homology(args) -> tuple[int, dict, str]:
     pres = presentation_h1(_seifert_block(args))
     rank, torsion = pres.invariants()
+    generators = pres.generators
     record = {
         "block": args.block,
-        "generators": list(pres.generators),
+        "generators": list(generators),
         "rank": rank,
         "torsion": torsion,
     }
-    lines = [f"block {args.block}: generators " + " ".join(pres.generators)]
+    lines = [f"block {args.block}: generators " + " ".join(generators)]
+    # the surface generators come first and are in no relation
+    related = generators[2 * pres.genus:]
     for j in range(pres.relations.ncols):
         terms = [
             f"{row[j]}*{gen}"
-            for row, gen in zip(pres.relations.rows, pres.generators)
+            for row, gen in zip(pres.relations.rows, related)
             if row[j] != 0
         ]
         lines.append("relation: " + (" + ".join(terms) if terms else "0") + " = 0")

@@ -13,11 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    EmptyInputError,
-    InputError,
-    NotATreeError,
-)
+from .errors import InputError
 from .manifold import (
     IDENTITY_GLUING,
     HyperbolicBlockData,
@@ -130,21 +126,19 @@ class Tree:
 def _check_tree(tree: Tree) -> dict:
     vs = set(tree.vertices)
     if not vs:
-        raise NotATreeError("empty vertex set")
+        raise InputError("empty vertex set")
     seen_edges = set()
     for a, b in tree.edges:
         if a not in vs or b not in vs:
-            raise NotATreeError(f"edge ({a}, {b}) uses unknown vertices")
+            raise InputError(f"edge ({a}, {b}) uses unknown vertices")
         if a == b:
-            raise NotATreeError(f"loop at {a}")
+            raise InputError(f"loop at {a}")
         key = frozenset((a, b))
         if key in seen_edges:
-            raise NotATreeError(f"duplicate edge ({a}, {b})")
+            raise InputError(f"duplicate edge ({a}, {b})")
         seen_edges.add(key)
     if len(tree.edges) != len(vs) - 1:
-        raise NotATreeError(
-            f"{len(vs)} vertices need {len(vs) - 1} edges, found {len(tree.edges)}"
-        )
+        raise InputError(f"{len(vs)} vertices need {len(vs) - 1} edges, found {len(tree.edges)}")
     adj = tree.adjacency()
     reached = set()
     stack = [tree.vertices[0]]
@@ -155,7 +149,7 @@ def _check_tree(tree: Tree) -> dict:
         reached.add(v)
         stack.extend(adj[v] - reached)
     if reached != vs:
-        raise NotATreeError("graph is disconnected")
+        raise InputError("graph is disconnected")
     return adj
 
 
@@ -174,7 +168,7 @@ def helly_intersection(
     vs = set(tree.vertices)
     for idx, s in enumerate(sets):
         if not s:
-            raise EmptyInputError(f"subtree {idx} is empty")
+            raise InputError(f"subtree {idx} is empty")
         if not s <= vs:
             raise InputError(f"subtree {idx} uses unknown vertices")
         reached = set()
@@ -221,7 +215,7 @@ def plan_surface_assembly(
     positive cap denominators, so the quotients are exact integers.
     """
     if not counts:
-        raise EmptyInputError("no tori to plan for")
+        raise InputError("no tori to plan for")
     values: list[int] = []
     for tid in sorted(counts):
         r, s, a, b = counts[tid]

@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-``InputError`` subclasses mark malformed or out-of-contract inputs (the CLI
-maps them to exit code 2). Negative mathematical verdicts are never raised;
-they are ordinary return values.
+Every malformed or out-of-contract input raises ``InputError`` (the CLI
+maps it to exit code 2); its message says which rule the input broke.
+``ParseError`` adds the line and column of text input, and
+``BudgetExceededError`` the budget a dual complex passed. Negative
+mathematical verdicts are never raised; they are ordinary return values.
 """
 
 from __future__ import annotations
@@ -16,56 +18,12 @@ class InputError(M3CubeError):
     """Malformed or out-of-contract input."""
 
 
-class ZeroVectorError(InputError):
-    """(0, 0) has no slope."""
-
-
-class IndexOutOfRangeError(InputError):
-    """Boundary index beyond the block's boundary count."""
-
-
-class DimensionMismatchError(InputError):
-    """Vectors or matrices of incompatible shapes."""
-
-
-class NotATreeError(InputError):
-    """Ambient graph has a cycle or is disconnected."""
-
-
-class EmptyInputError(InputError):
-    """An operation was called with nothing to do."""
-
-
-class NotInteriorError(InputError):
-    """Charge test requested for a block that is not interior."""
-
-
-class NotSeifertError(InputError):
-    """Seifert-only operation applied to a hyperbolic block."""
-
-
-class FiberFillingError(InputError):
-    """Filling slope equals the fiber slope (p = 0)."""
-
-
-class NotClosedError(InputError):
-    """Euler number is defined for closed Seifert data only."""
-
-
-class MissingGeometryLabelError(InputError):
-    """A manifold without JSJ tori needs a geometry label to classify."""
-
-
 class BudgetExceededError(M3CubeError):
     """Dual complex enumeration passed the configured budget of orientations or cubes."""
 
     def __init__(self, budget: int, what: str = "consistent orientations"):
         super().__init__(f"more than {budget} {what}")
         self.budget = budget
-
-
-class NoSlopesError(InputError):
-    """Torus wallspace needs at least one slope."""
 
 
 class ParseError(InputError):

@@ -45,9 +45,12 @@ _TOKEN_RE = re.compile(r"\S+")
 def _lines(text: str):
     """Yield (lineno, tokens) for each line with a token, comments stripped.
 
+    Lines end at \\n, \\r\\n or \\r, as in a text-mode read; no other
+    character (form feed, \\x85, U+2028, ...) ends a line or a comment.
     Tokens are (column, string) pairs, columns 1-based.
     """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
         tokens = [(m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(line)]
         if tokens:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DimensionMismatchError, IndexOutOfRangeError
+from .errors import InputError
 from .manifold import SeifertBlockData, Slope
 
 
@@ -26,7 +26,7 @@ class IntMatrix:
     def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
         tup = tuple(tuple(int(x) for x in r) for r in rows)
         if tup and any(len(r) != len(tup[0]) for r in tup):
-            raise DimensionMismatchError("ragged rows")
+            raise InputError("ragged rows")
         return IntMatrix(tup)
 
     @property
@@ -39,9 +39,6 @@ class IntMatrix:
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.rows[ij[0]][ij[1]]
-
-    def __str__(self):
-        return "[" + "; ".join(" ".join(str(x) for x in r) for r in self.rows) + "]"
 
 
 @dataclass(frozen=True)
@@ -159,18 +156,9 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
     )
 
 
-def _without_zero_rows(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    """The nonzero rows, or the first row alone when all are zero.
-
-    A zero row is a generator in no relation: a free summand of the cokernel
-    that adds nothing to the kernel, while the SNF's U is rows x rows.
-    """
-    return IntMatrix.from_rows([r for r in rows if any(r)] or rows[:1])
-
-
 def abelian_invariants(R: IntMatrix) -> tuple[int, list[int]]:
     """(free rank, torsion orders > 1) of Z^rows / column-span(R)."""
-    diag = smith_normal_form(_without_zero_rows(R.rows)).diagonal()
+    diag = smith_normal_form(R).diagonal()
     rank = sum(1 for d in diag if d != 0)
     torsion = [d for d in diag if d > 1]
     return R.nrows - rank, torsion
@@ -182,26 +170,35 @@ class AbelianPresentation:
 
     Generators are the surface classes x1, y1, ..., xg, yg, one class q_j per
     exceptional fiber, one class d_k per boundary torus, and the regular
-    fiber h (always last). Relations are the columns of ``relations``.
+    fiber h (always last). The surface classes are in no relation, so they
+    are counted, not stored: ``relations`` has one row per generator after
+    them, q_1 first, and its columns are the relations.
     """
 
-    generators: tuple[str, ...]
     relations: IntMatrix
     genus: int
     num_exceptional: int
     num_boundary: int
 
     @property
+    def generators(self) -> tuple[str, ...]:
+        surface = [f"{c}{i}" for i in range(1, self.genus + 1) for c in "xy"]
+        fibers = [f"q{j + 1}" for j in range(self.num_exceptional)]
+        ends = [f"d{k + 1}" for k in range(self.num_boundary)]
+        return (*surface, *fibers, *ends, "h")
+
+    @property
     def fiber_index(self) -> int:
-        return len(self.generators) - 1
+        return self.relations.nrows - 1
 
     def boundary_index(self, k: int) -> int:
         if not 0 <= k < self.num_boundary:
-            raise IndexOutOfRangeError(f"no boundary generator {k}")
-        return 2 * self.genus + self.num_exceptional + k
+            raise InputError(f"no boundary generator {k}")
+        return self.num_exceptional + k
 
     def invariants(self) -> tuple[int, list[int]]:
-        return abelian_invariants(self.relations)
+        rank, torsion = abelian_invariants(self.relations)
+        return 2 * self.genus + rank, torsion
 
 
 def presentation_h1(b: SeifertBlockData) -> AbelianPresentation:
@@ -213,43 +210,26 @@ def presentation_h1(b: SeifertBlockData) -> AbelianPresentation:
     matches e = -(b + sum b_j/a_j): a closed genus-0 block with e != 0 has
     finite H1 of order a_1 * ... * a_m * |e|.
     """
-    g, mexc, p = b.genus, len(b.exceptional), b.num_boundary
-    labels: list[str] = []
-    for i in range(g):
-        labels += [f"x{i + 1}", f"y{i + 1}"]
-    labels += [f"q{j + 1}" for j in range(mexc)]
-    labels += [f"d{k + 1}" for k in range(p)]
-    labels.append("h")
-    ngen = len(labels)
-    h = ngen - 1
-
-    cols: list[list[int]] = []
-    for j, (a, bb) in enumerate(b.exceptional):
-        col = [0] * ngen
-        col[2 * g + j] = a
-        col[h] = bb
-        cols.append(col)
-    section = [0] * ngen
-    for j in range(mexc):
-        section[2 * g + j] = 1
-    for k in range(p):
-        section[2 * g + mexc + k] = 1
-    section[h] = -b.section_obstruction if p == 0 else 0
-    cols.append(section)
-
-    relations = IntMatrix.from_rows(list(map(list, zip(*cols))))
-    return AbelianPresentation(tuple(labels), relations, g, mexc, p)
+    mexc, p = len(b.exceptional), b.num_boundary
+    rows = [
+        [a if i == j else 0 for j in range(mexc)] + [1]
+        for i, (a, _) in enumerate(b.exceptional)
+    ]
+    rows += [[0] * mexc + [1] for _ in range(p)]
+    rows.append([bb for _, bb in b.exceptional] + [-b.section_obstruction if p == 0 else 0])
+    return AbelianPresentation(IntMatrix.from_rows(rows), b.genus, mexc, p)
 
 
 def class_in_h1(
     pres: AbelianPresentation, boundary_index: int, s: Slope
 ) -> tuple[int, ...]:
-    """Coordinates in ``pres`` of the curve p*d_k + q*h on boundary torus k.
+    """Coordinates in ``pres`` of the curve p*d_k + q*h on boundary torus k,
+    over the rows of its relations (a boundary curve has no surface part).
 
     ``pres`` is the block's presentation from ``presentation_h1``; building
     it once per block and passing it in serves every end of that block.
     """
-    vec = [0] * len(pres.generators)
+    vec = [0] * pres.relations.nrows
     vec[pres.boundary_index(boundary_index)] = s.p
     vec[pres.fiber_index] = s.q
     return tuple(vec)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import IndexOutOfRangeError, ZeroVectorError
+from .errors import InputError
 
 GEOMETRY_LABELS = (
     "H3",
@@ -42,11 +42,11 @@ class Slope:
 
     def __post_init__(self):
         if self.p == 0 and self.q == 0:
-            raise ZeroVectorError("slope (0, 0) is not a curve")
+            raise InputError("slope (0, 0) is not a curve")
         if math.gcd(self.p, self.q) != 1:
-            raise ZeroVectorError(f"slope ({self.p}, {self.q}) is not primitive")
+            raise InputError(f"slope ({self.p}, {self.q}) is not primitive")
         if self.p < 0 or (self.p == 0 and self.q != 1):
-            raise ZeroVectorError(f"slope ({self.p}, {self.q}) is not in normal form")
+            raise InputError(f"slope ({self.p}, {self.q}) is not in normal form")
 
     def __str__(self):
         return f"({self.p},{self.q})"
@@ -56,10 +56,10 @@ def slope_normalize(p: int, q: int) -> Slope:
     """Reduce an integer pair to the unique normal form of its ray.
 
     Divides out the gcd and fixes the sign so that p > 0, or (p, q) = (0, 1).
-    Raises ZeroVectorError on (0, 0).
+    Raises InputError on (0, 0).
     """
     if p == 0 and q == 0:
-        raise ZeroVectorError("cannot normalize (0, 0)")
+        raise InputError("cannot normalize (0, 0)")
     g = math.gcd(p, q)
     p, q = p // g, q // g
     if p < 0 or (p == 0 and q < 0):
@@ -91,12 +91,9 @@ class GluingMatrix:
     def inverse(self) -> "GluingMatrix":
         det = self.det
         if det not in (1, -1):
-            raise ZeroVectorError(f"gluing with det {det} is not invertible over Z")
+            raise InputError(f"gluing with det {det} is not invertible over Z")
         # det is its own reciprocal when it is +-1
         return GluingMatrix(det * self.d, -det * self.b, -det * self.c, det * self.a)
-
-    def __str__(self):
-        return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
 
 IDENTITY_GLUING = GluingMatrix(1, 0, 0, 1)
@@ -237,7 +234,7 @@ class ManifoldGraph:
 def fiber_slope(b: SeifertBlockData, boundary_index: int) -> Slope:
     """The regular fiber on a boundary torus, in the (section, fiber) basis."""
     if not 0 <= boundary_index < b.num_boundary:
-        raise IndexOutOfRangeError(
+        raise InputError(
             f"boundary index {boundary_index} out of range (block has {b.num_boundary})"
         )
     return Slope(0, 1)
@@ -375,10 +372,12 @@ def validate(m: ManifoldGraph) -> ValidationReport:
             add(("geometry", "label"), None, f"unknown geometry label {m.geometry_label!r}")
         if m.jsj_tori:
             add(("geometry",), None, "geometry label given although JSJ tori are present")
-        if len(m.blocks) != 1:
+        if len(m.blocks) > 1:
             add(("geometry",), None, "geometry label requires a single block")
 
-    if len(m.blocks) > 1:
+    if not m.blocks:
+        add((), None, "manifold needs at least one block")
+    elif len(m.blocks) > 1:
         reached = set()
         ids = m.block_ids()
         stack = [ids[0]]

@@ -27,7 +27,7 @@ from operator import or_
 from typing import Sequence
 
 from .cubecomplex import Cube, CubeComplex
-from .errors import BudgetExceededError, InputError, NoSlopesError
+from .errors import BudgetExceededError, InputError
 from .manifold import Problem, Slope, ValidationReport
 
 
@@ -179,7 +179,7 @@ def torus_line_wallspace(slopes: Sequence[Slope], window: int) -> Wallspace:
     chambers are the complementary regions, computed exactly.
     """
     if not slopes:
-        raise NoSlopesError("need at least one slope")
+        raise InputError("need at least one slope")
     if len(set(slopes)) != len(slopes):
         raise InputError("repeated slopes")
     if window < 0:

@@ -18,13 +18,7 @@ from m3cube.charge import (
     is_chargeless_manifold,
     render_charge_report,
 )
-from m3cube.errors import (
-    FiberFillingError,
-    InputError,
-    MissingGeometryLabelError,
-    NotInteriorError,
-    NotSeifertError,
-)
+from m3cube.errors import InputError
 from m3cube.decomposition import modify_jsj
 from m3cube.fileformats import parse_manifold
 from m3cube.manifold import (
@@ -158,11 +152,11 @@ def test_charged_block_obstruction():
 
 def test_chargeless_rejects_wrong_blocks():
     m = ring()
-    with pytest.raises(NotSeifertError):
+    with pytest.raises(InputError, match="block H is not Seifert fibered"):
         is_chargeless_block(m, "H")
-    with pytest.raises(NotInteriorError):
+    with pytest.raises(InputError, match="block S1 is not interior"):
         is_chargeless_block(m, "S1")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="unknown block nope"):
         is_chargeless_block(m, "nope")
 
 
@@ -185,10 +179,10 @@ def test_fill_along_slopes():
     assert filled2.exceptional == ((2, 1), (3, -1))
     assert euler_number(filled2) == -(Fraction(1, 2) - Fraction(1, 3))
 
-    with pytest.raises(FiberFillingError):
+    with pytest.raises(InputError, match="at boundary 0 is the fiber"):
         fill_along_slopes(b, [Slope(0, 1), Slope(1, 0)])
-    with pytest.raises(InputError):
-        fill_along_slopes(b, [Slope(1, 0)])  # wrong count
+    with pytest.raises(InputError, match="2 boundary tori but 1 filling slopes"):
+        fill_along_slopes(b, [Slope(1, 0)])
 
 
 def test_fill_keeps_integer_slopes():
@@ -228,7 +222,7 @@ def test_classify_bad_geometries(label):
 
 
 def test_classify_requires_label_without_tori():
-    with pytest.raises(MissingGeometryLabelError):
+    with pytest.raises(InputError, match="no JSJ tori and no geometry label"):
         classify_vcs(ManifoldGraph({"M": SeifertBlockData(1, 0)}))
 
 

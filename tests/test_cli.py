@@ -316,19 +316,25 @@ def test_failed_witness_check_exits_3(capsys, catalog, monkeypatch):
 
 def test_surface_genus_costs_no_snf_work(capsys, tmp_path):
     # the 2g surface generators are in no relation and must cost no SNF
-    # work: a U over all 6003 generators of genus 3000 has 36 million entries
-    ring = tmp_path / "ring.m3"
-    ring.write_text(
-        "block A seifert genus=3000 boundaries=2\n"
-        "block B seifert genus=0 boundaries=2\n"
-        "torus T1 A.1 B.0 glue=0,1,1,0\n"
-        "torus T2 B.1 A.0 glue=0,1,1,0\n"
-    )
+    # work: a U over all 6003 generators of genus 3000 has 36 million entries;
+    # classify and chargeless must not even list them
+    def ring(genus):
+        path = tmp_path / f"ring{genus}.m3"
+        path.write_text(
+            f"block A seifert genus={genus} boundaries=2\n"
+            "block B seifert genus=0 boundaries=2\n"
+            "torus T1 A.1 B.0 glue=0,1,1,0\n"
+            "torus T2 B.1 A.0 glue=0,1,1,0\n"
+        )
+        return str(path)
+
     closed = tmp_path / "closed.m3"
     closed.write_text("block A seifert genus=2000 boundaries=0 b=3\n")
     for argv, last in (
-        (("classify", str(ring)), "block B: chargeless, witness (1,1) filled-euler 0"),
-        (("homology", str(ring), "--block", "A"), "H1: Z^6002"),
+        (("classify", ring(10**6)), "block B: chargeless, witness (1,1) filled-euler 0"),
+        (("chargeless", ring(10**6)), "block B: chargeless, witness (1,1) filled-euler 0"),
+        (("classify", ring(3000)), "block B: chargeless, witness (1,1) filled-euler 0"),
+        (("homology", ring(3000), "--block", "A"), "H1: Z^6002"),
         (("chargeless", str(closed)), "block A: chargeless, witness () filled-euler -3"),
         (("homology", str(closed), "--block", "A"), "H1: Z^4000 + Z/3"),
     ):
@@ -496,6 +502,16 @@ def test_other_line_endings_read_as_newlines(capsys, catalog, tmp_path, newline)
         path = tmp_path / name
         path.write_bytes((catalog / name).read_bytes().replace(b"\n", newline))
         assert run(capsys, command, str(path)) == run(capsys, command, str(catalog / name))
+
+
+@pytest.mark.parametrize("text", ["", "# nothing here\n\n"], ids=["empty", "comments"])
+def test_manifold_with_no_blocks_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "none.m3"
+    path.write_text(text)
+    for command in ("validate", "classify", "chargeless"):
+        assert run(capsys, command, str(path)) == (
+            2, "", f"{path}: line 1, column 1: manifold needs at least one block\n"
+        )
 
 
 # One case per subcommand, and validate on each file kind. Each record is

@@ -14,11 +14,7 @@ from m3cube.decomposition import (
     modify_jsj,
     plan_surface_assembly,
 )
-from m3cube.errors import (
-    EmptyInputError,
-    InputError,
-    NotATreeError,
-)
+from m3cube.errors import InputError
 from m3cube.manifold import (
     GluingMatrix,
     HyperbolicBlockData,
@@ -223,14 +219,32 @@ def test_helly_disjoint_witness():
 
 def test_helly_rejects_bad_inputs():
     t = Tree((0, 1, 2), ((0, 1), (1, 2)))
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(InputError, match="subtree 0 is empty"):
         helly_intersection(t, [set()])
-    with pytest.raises(InputError):
-        helly_intersection(t, [{0, 2}])  # not connected in the path
-    with pytest.raises(NotATreeError):
+    with pytest.raises(InputError, match="subtree 0 is not connected"):
+        helly_intersection(t, [{0, 2}])
+    with pytest.raises(InputError, match="3 vertices need 2 edges, found 3"):
         helly_intersection(Tree((0, 1, 2), ((0, 1), (1, 2), (2, 0))), [{0}])
-    with pytest.raises(NotATreeError):
+    with pytest.raises(InputError, match="3 vertices need 2 edges, found 1"):
         helly_intersection(Tree((0, 1, 2), ((0, 1),)), [{0}])
+
+
+@pytest.mark.parametrize(
+    "tree,subtrees,message",
+    [
+        (Tree((), ()), [], "empty vertex set"),
+        (Tree((0, 1), ((0, 5),)), [{0}], r"edge \(0, 5\) uses unknown vertices"),
+        (Tree((0, 1), ((0, 0),)), [{0}], "loop at 0"),
+        (Tree((0, 1, 2), ((0, 1), (1, 0))), [{0}], r"duplicate edge \(1, 0\)"),
+        # a triangle plus an isolated vertex has n - 1 edges
+        (Tree((0, 1, 2, 3), ((0, 1), (1, 2), (2, 0))), [{0}], "graph is disconnected"),
+        (Tree((0, 1), ((0, 1),)), [{0, 9}], "subtree 0 uses unknown vertices"),
+    ],
+    ids=["empty", "unknown-vertex", "loop", "duplicate-edge", "disconnected", "subtree-vertex"],
+)
+def test_helly_rejects_each_bad_tree(tree, subtrees, message):
+    with pytest.raises(InputError, match=message):
+        helly_intersection(tree, subtrees)
 
 
 def test_helly_random_trees():
@@ -273,9 +287,9 @@ def test_assembly_plan_two_tori():
 
 
 def test_assembly_plan_rejects_bad_counts():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(InputError, match="no tori to plan for"):
         plan_surface_assembly({})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="cap denominators must be >= 1"):
         plan_surface_assembly({"T": (1, 1, 0, 1)})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="negative surface counts"):
         plan_surface_assembly({"T": (-1, 1, 1, 1)})

@@ -62,6 +62,20 @@ def test_manifold_comments_and_blanks_ignored():
 
 
 @pytest.mark.parametrize(
+    "ch", "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", ids=lambda ch: f"U+{ord(ch):04X}"
+)
+def test_only_newlines_end_a_line(ch):
+    # str.splitlines() also breaks at these; a text-mode read does not
+    text = f"block M seifert genus=1 boundaries=0 b=0 # note{ch} more\ngeometry E3\n"
+    assert parse_manifold(text).geometry_label == "E3"
+    e = err(parse_manifold, f"# a{ch}b\nblock M seifert genus=1 boundaries=0 b=0\nblok\n")
+    assert (str(e), e.line, e.column) == ("line 3, column 1: unknown record 'blok'", 3, 1)
+    # inside a record it separates tokens, as a space does, on the same line
+    e = err(parse_manifold, f"block M seifert{ch}genus=x boundaries=0\n")
+    assert (e.line, e.column) == (1, 23)
+
+
+@pytest.mark.parametrize(
     "text,fragment,line,column",
     [
         ("blok X\n", "unknown record", 1, 1),
@@ -218,7 +232,7 @@ RULE_CASES = [
     (
         "geometry E3\n",
         ManifoldGraph({}, geometry_label="E3"),
-        "requires a single block", 1, 1,
+        "manifold needs at least one block", 1, 1,
     ),
     (
         "block A seifert genus=1 boundaries=0 b=0\nblock B seifert genus=1 boundaries=0 b=0\n"

@@ -14,7 +14,7 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from m3cube.charge import euler_number
-from m3cube.errors import NotClosedError
+from m3cube.errors import InputError
 from m3cube.homology import (
     IntMatrix,
     abelian_invariants,
@@ -158,5 +158,5 @@ def test_closed_genus0_torsion_order_is_product_times_euler():
 def test_euler_number_requires_closed():
     from m3cube.charge import euler_number
 
-    with pytest.raises(NotClosedError):
+    with pytest.raises(InputError, match="Euler number needs a closed Seifert block"):
         euler_number(SeifertBlockData(0, 1))
