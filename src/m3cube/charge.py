@@ -37,16 +37,14 @@ from .decomposition import interior_blocks, is_interior
 from .errors import InputError
 from .homology import LatticeBasis, class_in_h1, presentation_h1
 from .manifold import (
+    BAD_GEOMETRIES,
+    GOOD_GEOMETRIES,
     ManifoldGraph,
     SeifertBlockData,
     Slope,
     fiber_slope,
     transport_slope,
 )
-
-GOOD_GEOMETRIES = frozenset({"H3", "E3", "H2xR", "S2xR", "S3", "SFS-with-boundary"})
-BAD_GEOMETRIES = frozenset({"Sol", "Nil", "SL2R"})
-
 
 @dataclass(frozen=True)
 class AdjacentFiber:
@@ -55,7 +53,6 @@ class AdjacentFiber:
     torus_id: str
     side: str  # which side of the torus the tested block occupies
     boundary_index: int  # the tested block's end
-    neighbor: str
     slope: Slope  # neighbor fiber in the tested block's (section, fiber) basis
 
     def __str__(self):
@@ -81,7 +78,6 @@ def adjacent_fiber_slopes(m: ManifoldGraph, block_id: str) -> tuple[AdjacentFibe
                 edge.torus_id,
                 side,
                 here.boundary_index,
-                there.block_id,
                 transport_slope(fiber, to_here),
             )
         )

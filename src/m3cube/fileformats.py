@@ -8,12 +8,12 @@ line and column.
 A .m3, .ws or .cc file is read whole before any rule is checked, so its
 records may come in any order and a syntax error anywhere is reported
 first. The reader itself rejects only what the parsed value cannot hold: a
-block id or a hyperbolic frame declared twice, a second geometry or
-chambers record. ``manifold.validate``, ``validate_wallspace`` and
-``validate_complex`` decide every other rule, and the problem in the
-earliest record is reported at the line and column of that record or
-field; problems of no one record (an unglued end, a disconnected graph)
-are reported against the last line.
+block id declared twice, a second geometry or chambers record.
+``manifold.validate``, ``validate_wallspace`` and ``validate_complex``
+decide every other rule, and the problem in the earliest record is
+reported at the line and column of that record or field; problems of no
+one record (an unglued end, a disconnected graph) are reported against
+the last line.
 
 .ws and .cc serialization is deterministic, one record per line, and
 serialize(parse(text)) reparses to an equal value.
@@ -30,11 +30,9 @@ from .manifold import (
     HyperbolicBlockData,
     ManifoldGraph,
     SeifertBlockData,
-    Slope,
     TorusEdge,
     TorusEnd,
     ValidationReport,
-    slope_normalize,
     validate,
 )
 from .wallspace import Wall, Wallspace
@@ -126,7 +124,7 @@ def parse_manifold(text: str) -> ManifoldGraph:
             if bkind == "seifert":
                 blocks[block_id] = _parse_seifert(rest[2:], lineno)
             elif bkind == "hyperbolic":
-                blocks[block_id] = _parse_hyperbolic(rest[2:], lineno, block_id, where)
+                blocks[block_id] = _parse_hyperbolic(rest[2:], lineno)
             else:
                 _fail(f"unknown block kind {bkind!r}", lineno, kcol)
 
@@ -194,38 +192,16 @@ def _parse_seifert(tokens, lineno) -> SeifertBlockData:
     return SeifertBlockData(genus, boundaries, exceptional, obstruction, thin)
 
 
-_FRAME_RE = re.compile(r"frame(\d+)=")
-
-
-def _parse_hyperbolic(tokens, lineno, block_id, where) -> HyperbolicBlockData:
+def _parse_hyperbolic(tokens, lineno) -> HyperbolicBlockData:
     boundaries = None
-    frames: dict[int, tuple[Slope, Slope]] = {}
     for col, tok in tokens:
         if tok.startswith("boundaries="):
             boundaries = _int(tok[11:], lineno, col + 11)
-        elif m := _FRAME_RE.match(tok):
-            idx = _int(m.group(1), lineno, col + 5)
-            halves = tok[m.end():].split("|")
-            if len(halves) != 2:
-                _fail("frame needs (p,q)|(p,q)", lineno, col)
-            slopes = []
-            for h in halves:
-                pq = _pairs(h, lineno, col)
-                if len(pq) != 1:
-                    _fail("frame needs (p,q)|(p,q)", lineno, col)
-                p, q = pq[0]
-                if (p, q) == (0, 0):
-                    _fail("slope (0,0) is not a curve", lineno, col)
-                slopes.append(slope_normalize(p, q))
-            if idx in frames:
-                _fail(f"frame{idx} redeclared", lineno, col)
-            frames[idx] = (slopes[0], slopes[1])
-            where[("block", block_id, f"frame{idx}")] = (lineno, col)
         else:
             _fail(f"unknown hyperbolic field {tok!r}", lineno, col)
     if boundaries is None:
         _fail("hyperbolic block needs boundaries=", lineno)
-    return HyperbolicBlockData(boundaries, tuple(sorted(frames.items())))
+    return HyperbolicBlockData(boundaries)
 
 
 def parse_wallspace(text: str) -> Wallspace:
@@ -275,11 +251,7 @@ def parse_wallspace(text: str) -> Wallspace:
 
 
 def serialize_wallspace(ws: Wallspace) -> str:
-    try:
-        ordered = sorted(ws.chambers)
-    except TypeError:
-        ordered = sorted(ws.chambers, key=str)
-    order = {c: i for i, c in enumerate(ordered)}
+    order = {c: i for i, c in enumerate(sorted(ws.chambers))}
     out = [f"chambers {len(ws.chambers)}"]
     for w in ws.walls:
         u = ",".join(str(i) for i in sorted(order[c] for c in w.half_u))

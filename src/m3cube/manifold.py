@@ -20,17 +20,9 @@ from functools import cached_property
 
 from .errors import InputError
 
-GEOMETRY_LABELS = (
-    "H3",
-    "E3",
-    "H2xR",
-    "S2xR",
-    "S3",
-    "Sol",
-    "Nil",
-    "SL2R",
-    "SFS-with-boundary",
-)
+GOOD_GEOMETRIES = frozenset({"H3", "E3", "H2xR", "S2xR", "S3", "SFS-with-boundary"})
+BAD_GEOMETRIES = frozenset({"Sol", "Nil", "SL2R"})
+GEOMETRY_LABELS = GOOD_GEOMETRIES | BAD_GEOMETRIES
 
 
 @dataclass(frozen=True, order=True)
@@ -126,13 +118,11 @@ class SeifertBlockData:
 class HyperbolicBlockData:
     """A finite-volume hyperbolic block with num_boundary cusp tori.
 
-    An optional framing gives some boundary tori two distinct slopes (a
-    chosen pair of non-homotopic curves used downstream for walls), as
-    sorted (boundary index, (s, t)) pairs, one per declared frame.
+    No verdict reads coordinates on a cusp: a hyperbolic block only makes
+    its Seifert neighbors not interior.
     """
 
     num_boundary: int
-    framings: tuple[tuple[int, tuple[Slope, Slope]], ...] = ()
 
 
 BlockData = SeifertBlockData | HyperbolicBlockData
@@ -245,12 +235,12 @@ class Problem:
     """One violation found by a validator.
 
     ``where`` names the record at fault and, when one field is, that field.
-    ``validate`` uses ``("block", id)``, ``("block", id, "frame<i>")``,
-    ``("torus", i, f)`` for f in id, a, b, glue, ``("boundary", j, "end")``,
-    ``("geometry",)`` or ``("geometry", "label")``, and ``()`` for
-    whole-graph problems; ``validate_wallspace`` uses ``("chambers",)``,
-    ``("wall", i)`` and ``("wall", i, f)`` for f in id, U, V;
-    ``validate_complex`` uses ``("vertex", j)`` and ``("cube", i)``.
+    ``validate`` uses ``("block", id)``, ``("torus", i, f)`` for f in id,
+    a, b, glue, ``("boundary", j, "end")``, ``("geometry",)`` or
+    ``("geometry", "label")``, and ``()`` for whole-graph problems;
+    ``validate_wallspace`` uses ``("chambers",)``, ``("wall", i)`` and
+    ``("wall", i, f)`` for f in id, U, V; ``validate_complex`` uses
+    ``("vertex", j)`` and ``("cube", i)``.
     """
 
     where: tuple
@@ -277,8 +267,8 @@ class ValidationReport:
 def _block_problems(block_id: str, data: BlockData) -> list[Problem]:
     out: list[Problem] = []
 
-    def add(message: str, field: tuple = ()) -> None:
-        out.append(Problem(("block", block_id) + field, f"block {block_id}", message))
+    def add(message: str) -> None:
+        out.append(Problem(("block", block_id), f"block {block_id}", message))
 
     if isinstance(data, SeifertBlockData):
         if data.genus < 0:
@@ -295,12 +285,6 @@ def _block_problems(block_id: str, data: BlockData) -> list[Problem]:
     elif isinstance(data, HyperbolicBlockData):
         if data.num_boundary < 1:
             add("hyperbolic block needs at least one torus end")
-        # one line may carry several frames, so name the field
-        for i, (s, t) in data.framings:
-            if not 0 <= i < data.num_boundary:
-                add(f"frame{i} out of range (block has {data.num_boundary})", (f"frame{i}",))
-            if s == t:
-                add(f"framing {i} repeats the slope {s}", (f"frame{i}",))
     else:
         add(f"unknown block data {type(data).__name__}")
     return out

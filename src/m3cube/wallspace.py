@@ -103,6 +103,8 @@ class DualComplex:
 
 
 def dual_cube_complex(ws: Wallspace, budget: int = 10 ** 6) -> DualComplex:
+    if budget < 1:
+        raise InputError("budget must be >= 1")
     if not ws.report.ok:
         raise InputError("invalid wallspace: " + "; ".join(ws.report.problems))
 

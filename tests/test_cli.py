@@ -346,10 +346,10 @@ def test_surface_genus_costs_no_snf_work(capsys, tmp_path):
 
 
 def test_huge_boundary_count_fails_fast(capsys, tmp_path):
-    # a hyperbolic frame is stored on its own, never expanded to the count
+    # unused ends are counted, never listed one by one
     for block, record in (
         ("S", "block S seifert genus=0 boundaries=1000000000\n"),
-        ("H", "block H hyperbolic boundaries=1000000000 frame0=(1,0)|(0,1)\n"),
+        ("H", "block H hyperbolic boundaries=1000000000\n"),
     ):
         path = tmp_path / "huge.m3"
         path.write_text(record)
@@ -403,6 +403,16 @@ def test_torus_walls_budget(capsys):
     code, _, err = run(capsys, "torus-walls", "--slopes", "1/0,0/1", "--dual", "--budget", "2")
     assert code == 2
     assert err.startswith("budget exceeded:")
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_budget_below_one_exits_2(capsys, catalog, budget):
+    for argv in (
+        ("dual-cube", str(catalog / "crossing2.ws")),
+        ("torus-walls", "--slopes", "1/0,0/1", "--dual"),
+    ):
+        code, out, err = run(capsys, *argv, "--budget", budget)
+        assert (code, out, err) == (2, "", "error: budget must be >= 1\n")
 
 
 def test_helly_demo(capsys):

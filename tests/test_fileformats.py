@@ -35,7 +35,7 @@ from m3cube.wallspace import (
 MIXED = """\
 # two seifert pieces around a hyperbolic piece
 block A seifert genus=0 boundaries=1 exceptional=(2,1)(3,1) b=0
-block H hyperbolic boundaries=2 frame0=(1,0)|(0,1)
+block H hyperbolic boundaries=2
 block B seifert genus=1 boundaries=1 b=0
 torus T1 A.0 H.0 glue=0,1,1,0
 torus T2 H.1 B.0 glue=1,0,0,1
@@ -52,7 +52,7 @@ def test_parse_manifold_round_trip():
     m = parse_manifold(MIXED)
     assert set(m.blocks) == {"A", "H", "B"}
     assert m.blocks["A"].exceptional == ((2, 1), (3, 1))
-    assert m.blocks["H"].framings == ((0, (Slope(1, 0), Slope(0, 1))),)
+    assert m.blocks["H"] == HyperbolicBlockData(2)
 
 
 def test_manifold_comments_and_blanks_ignored():
@@ -84,9 +84,8 @@ def test_only_newlines_end_a_line(ch):
         ("block A seifert genus=0 b=0\n", "needs genus= and boundaries=", 1, None),
         ("block A seifert genus=x boundaries=1 b=0\n", "expected an integer", 1, 23),
         ("block A seifert genus=0 boundaries=2 exceptional=(1,1) b=0\n", "needs a >= 2", 1, None),
-        ("block A hyperbolic boundaries=1 frame2=(1,0)|(0,1)\n", "frame2 out of range", 1, None),
-        ("block A hyperbolic boundaries=1 frame0=(1,0)\n", "frame needs (p,q)|(p,q)", 1, 33),
-        ("block A hyperbolic boundaries=1 frame0=(0,0)|(1,0)\n", "slope (0,0)", 1, 33),
+        # a hyperbolic block is its cusp count: no field but boundaries=
+        ("block A hyperbolic boundaries=1 frame0=(1,0)|(0,1)\n", "unknown hyperbolic field", 1, 33),
         ("block A seifert genus=0 boundaries=2 b=0\ntorus T A.0 A.1 glue=1,1,1,1\n", "determinant", 2, 17),
         ("block A seifert genus=0 boundaries=2 b=0\ntorus T A.0 B.0 glue=0,1,1,0\n", "unknown block 'B'", 2, 13),
         ("block A seifert genus=0 boundaries=1 b=0\ntorus T A.0 A.3 glue=0,1,1,0\n", "out of range (block A has 1)", 2, 13),
@@ -102,10 +101,6 @@ def test_only_newlines_end_a_line(ch):
         pytest.param(
             f"block A seifert genus=0 boundaries=0 exceptional=({'9' * 4400},1) b=0\n",
             "expected an integer", 1, 50, id="long-integer-in-pair",
-        ),
-        pytest.param(
-            f"block H hyperbolic boundaries=1 frame{'9' * 4400}=(1,0)|(0,1)\n",
-            "expected an integer", 1, 38, id="long-frame-index",
         ),
     ],
 )
@@ -135,8 +130,6 @@ def torus(tid, a, b, glue=(0, 1, 1, 0)):
 
 SFS = SeifertBlockData(1, 1)
 B_AND_T = "block B seifert genus=1 boundaries=1 b=0\ntorus T A.0 B.0 glue=0,1,1,0\n"
-X10 = (Slope(1, 0), Slope(1, 0))
-X01 = (Slope(1, 0), Slope(0, 1))
 
 # One case per rule of manifold.validate: the .m3 text breaks only that
 # rule, the graph is the same input built directly, and (line, column) is
@@ -171,16 +164,6 @@ RULE_CASES = [
         "block H hyperbolic boundaries=0\ngeometry H3\n",
         ManifoldGraph({"H": HyperbolicBlockData(0)}, geometry_label="H3"),
         "needs at least one torus end", 1, 1,
-    ),
-    (
-        "block H hyperbolic boundaries=2 frame0=(1,0)|(1,0)\nboundary H.0\nboundary H.1\n",
-        ManifoldGraph({"H": HyperbolicBlockData(2, ((0, X10),))}, boundary_tori=(end("H.0"), end("H.1"))),
-        "framing 0 repeats the slope (1,0)", 1, 33,
-    ),
-    (
-        "block H hyperbolic boundaries=1 frame0=(1,0)|(0,1) frame2=(1,0)|(0,1)\nboundary H.0\n",
-        ManifoldGraph({"H": HyperbolicBlockData(1, ((0, X01), (2, X01)))}, boundary_tori=(end("H.0"),)),
-        "frame2 out of range (block has 1)", 1, 52,
     ),
     (
         "block A seifert genus=1 boundaries=2 b=0\nblock B seifert genus=1 boundaries=2 b=0\n"
@@ -310,11 +293,6 @@ SEIFERT = [
     "b=0", "b=2", "thin", "exceptional=(2,1)", "exceptional=(2,1)(3,-1)",
     "exceptional=(0,1)", "exceptional=(1,1)(", f"exceptional=({BIG},1)",
 ]
-FRAMES = [
-    "frame0=(1,0)|(0,1)", "frame0=(1,0)|(1,0)", "frame1=(0,1)|(1,1)", "frame3=(1,0)|(0,1)",
-    "frame0=(0,0)|(1,0)", "frame0=(1,0)", "frame0=(2,4)|(1,0)", f"frame{BIG}=(1,0)|(0,1)",
-    f"frame0=(1,{BIG})|(1,0)",
-]
 BOUNDARIES = ["boundaries=0", "boundaries=1", "boundaries=2", "boundaries=-1"]
 GLUES = ["glue=0,1,1,0", "glue=1,0,0,1", "glue=1,-1,0,1", "glue=1,0,0,2", "glue=1,2,3"]
 
@@ -331,7 +309,7 @@ FUZZ = {
               _tok(["genus=0", "genus=1", "genus=-1", f"genus={BIG}"]), _tok(BOUNDARIES),
               st.lists(_tok(SEIFERT), max_size=2)),
         _line(st.just("block"), _tok("ABC"), st.just("hyperbolic"), _tok(BOUNDARIES),
-              st.lists(_tok(FRAMES), max_size=2)),
+              st.lists(_tok(["frame0=(1,0)|(0,1)"]), max_size=1)),
         _line(st.just("torus"), _tok("TUV"), _tok(ENDS), _tok(ENDS), _tok(GLUES)),
         _line(st.just("boundary"), _tok(ENDS)),
         _tok(st.sampled_from(["geometry E3", "geometry Spherical"])),

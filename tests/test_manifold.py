@@ -148,20 +148,6 @@ def test_validate_thin_shape():
     assert any("thin" in p for p in validate(m).problems)
 
 
-def test_validate_framing_shape():
-    outside = HyperbolicBlockData(2, ((2, (Slope(1, 0), Slope(0, 1))),))
-    m = ManifoldGraph(
-        {"H": outside},
-        boundary_tori=(TorusEnd("H", 0), TorusEnd("H", 1)),
-    )
-    assert [(p.where, str(p)) for p in validate(m).violations] == [
-        (("block", "H", "frame2"), "block H: frame2 out of range (block has 2)")
-    ]
-    repeated = HyperbolicBlockData(1, ((0, (Slope(1, 0), Slope(1, 0))),))
-    m2 = ManifoldGraph({"H": repeated}, boundary_tori=(TorusEnd("H", 0),))
-    assert any("repeats" in p for p in validate(m2).problems)
-
-
 def test_validate_geometry_with_tori():
     m = ManifoldGraph(
         {"A": SeifertBlockData(1, 1), "B": SeifertBlockData(1, 1)},
@@ -208,7 +194,7 @@ def test_problems_name_their_record_and_field():
     m = ManifoldGraph(
         {
             "A": SeifertBlockData(1, 2),
-            "H": HyperbolicBlockData(1, ((0, (Slope(1, 0), Slope(1, 0))),)),
+            "H": HyperbolicBlockData(1),
         },
         (
             TorusEdge("T", TorusEnd("A", 0), TorusEnd("Z", 0), GluingMatrix(1, 0, 0, 2)),
@@ -219,7 +205,6 @@ def test_problems_name_their_record_and_field():
     )
     report = validate(m)
     assert [(p.where, str(p)) for p in report.violations] == [
-        (("block", "H", "frame0"), "block H: framing 0 repeats the slope (1,0)"),
         (("torus", 0, "b"), "torus T: unknown block 'Z'"),
         (("torus", 0, "glue"), "torus T: glue determinant 2, need +1 or -1"),
         (("boundary", 0, "end"), "boundary A.1: end A.1 already used"),

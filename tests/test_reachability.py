@@ -100,6 +100,7 @@ def _runs(catalog: Path, tmp_path: Path) -> tuple[list[list[str]], list[list[str
         ["special-check", str(bad_cc)],
         ["validate", str(tmp_path / "missing.m3")],
         ["dual-cube", str(catalog / "crossing2.ws"), "--budget", "1"],
+        ["dual-cube", str(catalog / "crossing2.ws"), "--budget", "0"],
         ["torus-walls", "--slopes", "1/0,0/1", "--dual", "--budget", "1"],
         ["torus-walls", "--slopes", "1/0,1/0"],
         ["torus-walls", "--slopes", "1/0", "--window", "-1"],
