@@ -33,13 +33,11 @@ from .cubecomplex import (
     validate_complex,
 )
 from .decomposition import (
-    AssemblyPlan,
     Tree,
     helly_intersection,
     interior_blocks,
     is_interior,
     modify_jsj,
-    plan_surface_assembly,
 )
 from .errors import (
     BudgetExceededError,

@@ -19,18 +19,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import traceback
 
 from .charge import classify_vcs, euler_number, is_chargeless_manifold, render_charge_report
 from .cubecomplex import check_npc, dimension, specialness_report
-from .decomposition import Tree, helly_intersection, plan_surface_assembly
 from .errors import BudgetExceededError, InputError, M3CubeError, ParseError
 from .fileformats import (
     parse_complex,
     parse_manifold,
-    parse_plan,
     parse_wallspace,
     serialize_complex,
     serialize_wallspace,
@@ -231,66 +228,6 @@ def _cmd_torus_walls(args) -> tuple[int, dict, str]:
     return 0, record, "" if args.json else serialize_complex(c)
 
 
-def _random_helly_instance(rng: random.Random):
-    """A random tree plus pairwise-intersecting connected subtrees."""
-    n = rng.randint(5, 14)
-    edges = [(rng.randrange(v), v) for v in range(1, n)]
-    adj = {v: set() for v in range(n)}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    while True:
-        subtrees = []
-        for _ in range(rng.randint(2, 5)):
-            size = rng.randint(1, n)
-            blob = {rng.randrange(n)}
-            frontier = set(adj[next(iter(blob))])
-            while len(blob) < size and frontier:
-                v = rng.choice(sorted(frontier))
-                blob.add(v)
-                frontier = (frontier | adj[v]) - blob
-            subtrees.append(frozenset(blob))
-        if all(
-            s & t
-            for i, s in enumerate(subtrees)
-            for t in subtrees[i + 1:]
-        ):
-            return Tree(tuple(range(n)), tuple(edges)), subtrees
-
-
-def _cmd_helly_demo(args) -> tuple[int, dict, str]:
-    tree, subtrees = _random_helly_instance(random.Random(args.seed))
-    vertex, _ = helly_intersection(tree, subtrees)
-    # the subtrees meet pairwise, so a miss is a bug (exit 3), never a verdict
-    if any(vertex not in s for s in subtrees):
-        raise AssertionError(f"common vertex {vertex} misses a subtree of seed {args.seed}")
-    record = {
-        "seed": args.seed,
-        "vertices": len(tree.vertices),
-        "subtrees": len(subtrees),
-        "common_vertex": vertex,
-        "verified": True,
-    }
-    text = (
-        f"seed {args.seed}: tree with {len(tree.vertices)} vertices,"
-        f" {len(subtrees)} pairwise-intersecting subtrees,"
-        f" common vertex {vertex} (verified)\n"
-    )
-    return 0, record, text
-
-
-def _cmd_assembly_plan(args) -> tuple[int, dict, str]:
-    plan = plan_surface_assembly(parse_plan(_read(args.path)))
-    caps = sorted(plan.caps.items())
-    record = {
-        "scale": plan.core_copies,
-        "caps": {tid: list(ab) for tid, ab in caps},
-    }
-    text = f"scale {plan.core_copies}\n"
-    text += "".join(f"torus {tid}: caps {a} {b}\n" for tid, (a, b) in caps)
-    return 0, record, text
-
-
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="one JSON record instead of text")
@@ -335,14 +272,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--dual", action="store_true", help="print the dual complex instead")
     p.add_argument("--budget", type=int, default=10**6)
     p.set_defaults(func=_cmd_torus_walls)
-
-    p = sub.add_parser("helly-demo", parents=[common], help="random pairwise-intersecting subtrees")
-    p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(func=_cmd_helly_demo)
-
-    p = sub.add_parser("assembly-plan", parents=[common], help="balance cap counts over tori")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_assembly_plan)
 
     return top
 

@@ -1,17 +1,16 @@
-"""Block graph surgery and the combinatorics behind surface assembly.
+"""Block graph surgery and the Helly property of subtrees.
 
 The modified decomposition inserts thin T^2 x I blocks wherever a torus
 touches no Seifert block, so that afterwards every torus has a Seifert side.
 
-Also here: the Helly step for subtrees of a tree and the lcm bookkeeping
-that balances cap counts when parallel surface pieces are assembled.
+Also here: the Helly step for subtrees of a tree, which acceptance
+criterion 8 tests; no subcommand runs it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
 from .manifold import (
@@ -191,42 +190,3 @@ def helly_intersection(
     if not common:
         raise AssertionError("pairwise intersecting subtrees with empty total intersection")
     return min(common), None
-
-
-@dataclass(frozen=True)
-class AssemblyPlan:
-    """How many parallel copies make the cap counts match.
-
-    ``core_copies`` is the common scale (the lcm), ``caps`` maps each torus
-    to its (alpha, beta) cap counts.
-    """
-
-    core_copies: int
-    caps: dict[str, tuple[int, int]]
-
-
-def plan_surface_assembly(
-    counts: Mapping[str, tuple[int, int, int, int]]
-) -> AssemblyPlan:
-    """Balance cap counts: scale = lcm of the nonzero values among all
-    (r, s, a, b), caps per torus are (r*scale/a, s*scale/b).
-
-    r and s may be zero (that side contributes no caps); a and b are the
-    positive cap denominators, so the quotients are exact integers.
-    """
-    if not counts:
-        raise InputError("no tori to plan for")
-    values: list[int] = []
-    for tid in sorted(counts):
-        r, s, a, b = counts[tid]
-        if a < 1 or b < 1:
-            raise InputError(f"torus {tid}: cap denominators must be >= 1")
-        if r < 0 or s < 0:
-            raise InputError(f"torus {tid}: negative surface counts")
-        values.extend(v for v in (r, s, a, b) if v != 0)
-    scale = math.lcm(*values)
-    caps = {
-        tid: (r * scale // a, s * scale // b)
-        for tid, (r, s, a, b) in sorted(counts.items())
-    }
-    return AssemblyPlan(scale, caps)

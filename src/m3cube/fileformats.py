@@ -1,9 +1,9 @@
-"""Text formats for manifolds (.m3), wallspaces (.ws), cube complexes (.cc)
-and cap plans (.plan).
+"""Text formats for manifolds (.m3), wallspaces (.ws) and cube complexes
+(.cc).
 
-All are line oriented UTF-8 with `#` comments. Parsing is exact: unknown
-keys, missing fields and non-integer tokens raise ParseError with a 1-based
-line and column.
+All three are line oriented UTF-8 with `#` comments. Parsing is exact:
+unknown keys, missing fields and non-integer tokens raise ParseError with a
+1-based line and column.
 
 A .m3, .ws or .cc file is read whole before any rule is checked, so its
 records may come in any order and a syntax error anywhere is reported
@@ -295,16 +295,3 @@ def serialize_complex(c: CubeComplex) -> str:
     for cube in sorted(c.cubes, key=lambda k: (k.dim, [rank[v] for v in k.corners])):
         out.append(f"cube {cube.dim} " + " ".join([name[v] for v in cube.corners]))
     return "\n".join(out) + "\n"
-
-
-def parse_plan(text: str) -> dict[str, tuple[int, int, int, int]]:
-    """Read one `<torus id> r s a b` line per torus into {id: (r, s, a, b)}."""
-    counts = {}
-    for lineno, tokens in _lines(text):
-        if len(tokens) != 5:
-            _fail("expected: <torus id> <r> <s> <a> <b>", lineno, tokens[0][0])
-        (tcol, tid), *values = tokens
-        if tid in counts:
-            _fail(f"torus {tid!r} repeated", lineno, tcol)
-        counts[tid] = tuple(_int(tok, lineno, col) for col, tok in values)
-    return counts

@@ -103,8 +103,9 @@ class SeifertBlockData:
 
     genus is the genus of the (orientable) base surface, exceptional fibers
     are (a_j, b_j) pairs with a_j >= 2, and section_obstruction is the integer
-    Euler term, meaningful only when the block is closed. Thin blocks are
-    copies of T^2 x I: genus 0, two boundary tori, no exceptional fibers.
+    Euler term b. A block with boundary tori has no section obstruction, so
+    ``validate`` rejects a nonzero b there. Thin blocks are copies of
+    T^2 x I: genus 0, two boundary tori, no exceptional fibers.
     """
 
     genus: int
@@ -278,6 +279,8 @@ def _block_problems(block_id: str, data: BlockData) -> list[Problem]:
         for a, b in data.exceptional:
             if a < 2:
                 add(f"exceptional fiber ({a},{b}) needs a >= 2")
+        if data.section_obstruction and data.num_boundary > 0:
+            add(f"section obstruction b={data.section_obstruction} needs a closed block")
         if data.is_thin and (
             data.genus != 0 or data.num_boundary != 2 or data.exceptional
         ):

@@ -415,51 +415,6 @@ def test_budget_below_one_exits_2(capsys, catalog, budget):
         assert (code, out, err) == (2, "", "error: budget must be >= 1\n")
 
 
-def test_helly_demo(capsys):
-    code, out, _ = run(capsys, "helly-demo", "--seed", "7")
-    assert code == 0
-    assert out == "seed 7: tree with 10 vertices, 4 pairwise-intersecting subtrees, common vertex 1 (verified)\n"
-    # other seeds still verify
-    for seed in (1, 2, 3):
-        code, out, _ = run(capsys, "helly-demo", "--seed", str(seed))
-        assert code == 0
-        assert out.endswith("(verified)\n")
-
-
-def test_helly_demo_failed_check_exits_3(capsys, monkeypatch):
-    # the subtrees meet pairwise by construction, so a vertex outside one of
-    # them is a bug, never a negative verdict
-    monkeypatch.setattr(cli, "helly_intersection", lambda tree, subtrees: (-1, None))
-    code, out, err = run(capsys, "helly-demo", "--seed", "7")
-    assert (code, out) == (3, "")
-    assert err.startswith("internal error:\nTraceback (most recent call last):\n")
-    assert err.endswith("AssertionError: common vertex -1 misses a subtree of seed 7\n")
-
-
-def test_helly_demo_json(capsys):
-    code, out, _ = run(capsys, "helly-demo", "--json", "--seed", "7")
-    assert code == 0
-    rec = json.loads(out)
-    assert rec["command"] == "helly-demo"
-    assert rec["seed"] == 7
-    assert rec["verified"] is True
-
-
-def test_assembly_plan(capsys, catalog):
-    code, out, _ = run(capsys, "assembly-plan", str(catalog / "caps_demo.plan"))
-    assert code == 0
-    assert out == "scale 60\ntorus T1: caps 30 40\ntorus T2: caps 30 0\n"
-
-
-def test_assembly_plan_rejects_garbage(tmp_path, capsys):
-    bad = tmp_path / "x.plan"
-    bad.write_text("T1 1 2 2\n")
-    code, _, err = run(capsys, "assembly-plan", str(bad))
-    assert code == 2
-    assert str(bad) in err
-    assert "line 1" in err
-
-
 def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "nosuch.m3")
     assert code == 2
@@ -475,12 +430,22 @@ def test_unknown_extension(tmp_path, capsys):
 
 
 def test_usage_errors():
+    # the removed helly-demo and assembly-plan are unknown commands
+    for argv in ([], ["frobnicate"], ["helly-demo"], ["assembly-plan", "x.plan"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2, argv
+
+
+def test_help_lists_the_eight_subcommands(capsys):
     with pytest.raises(SystemExit) as e:
-        main([])
-    assert e.value.code == 2
-    with pytest.raises(SystemExit) as e:
-        main(["frobnicate"])
-    assert e.value.code == 2
+        main(["--help"])
+    assert e.value.code == 0
+    choices = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0]
+    assert choices.split(",") == [
+        "validate", "classify", "chargeless", "homology",
+        "euler", "dual-cube", "special-check", "torus-walls",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -489,7 +454,6 @@ def test_usage_errors():
         ("validate", "x.m3"),
         ("classify", "x.m3"),
         ("special-check", "x.cc"),
-        ("assembly-plan", "x.plan"),
     ],
 )
 def test_non_utf8_input_exits_2(capsys, tmp_path, command, name):
@@ -507,7 +471,6 @@ def test_other_line_endings_read_as_newlines(capsys, catalog, tmp_path, newline)
         ("chargeless_mixed.m3", "classify"),
         ("crossing2.ws", "dual-cube"),
         ("pincer.cc", "special-check"),
-        ("caps_demo.plan", "assembly-plan"),
     ]:
         path = tmp_path / name
         path.write_bytes((catalog / name).read_bytes().replace(b"\n", newline))
@@ -537,8 +500,6 @@ def test_manifold_with_no_blocks_exits_2(capsys, tmp_path, text):
 #   itself across a single edge.
 # - torus slopes 1/0,0/1 at window 1: three lines of each slope cut the
 #   torus into a 4 x 4 grid; 2/1 alone gives three parallel walls.
-# - caps_demo.plan: cap fractions 1/2, 2/3, 2/4 and 0/5 have the common
-#   denominator 60, so the caps are 30, 40, 30 and 0.
 JSON_CASES = [
     (
         ["validate", "{cat}/h3.m3"],
@@ -647,16 +608,6 @@ JSON_CASES = [
             "dual_vertices": 16,
             "dimension": 2,
         },
-    ),
-    (
-        ["helly-demo", "--seed", "7"],
-        0,
-        {"seed": 7, "vertices": 10, "subtrees": 4, "common_vertex": 1, "verified": True},
-    ),
-    (
-        ["assembly-plan", "{cat}/caps_demo.plan"],
-        0,
-        {"scale": 60, "caps": {"T1": [30, 40], "T2": [30, 0]}},
     ),
 ]
 

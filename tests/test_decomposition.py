@@ -1,4 +1,4 @@
-"""Block graph surgery: thin insertion, trees, assembly plans."""
+"""Block graph surgery: thin insertion, interior blocks, trees."""
 
 import random
 from collections import Counter
@@ -12,7 +12,6 @@ from m3cube.decomposition import (
     interior_blocks,
     is_interior,
     modify_jsj,
-    plan_surface_assembly,
 )
 from m3cube.errors import InputError
 from m3cube.manifold import (
@@ -270,26 +269,3 @@ def test_helly_random_trees():
         v, witness = helly_intersection(tree, subtrees)
         assert witness is None
         assert all(v in s for s in subtrees)
-
-
-def test_assembly_plan_golden():
-    plan = plan_surface_assembly({"T": (2, 0, 4, 3)})
-    assert plan.core_copies == 12
-    assert plan.caps == {"T": (6, 0)}
-
-
-def test_assembly_plan_two_tori():
-    plan = plan_surface_assembly(
-        {"T1": (2, 3, 2, 3), "T2": (4, 0, 4, 5)}
-    )
-    assert plan.core_copies == 60
-    assert plan.caps == {"T1": (60, 60), "T2": (60, 0)}
-
-
-def test_assembly_plan_rejects_bad_counts():
-    with pytest.raises(InputError, match="no tori to plan for"):
-        plan_surface_assembly({})
-    with pytest.raises(InputError, match="cap denominators must be >= 1"):
-        plan_surface_assembly({"T": (1, 1, 0, 1)})
-    with pytest.raises(InputError, match="negative surface counts"):
-        plan_surface_assembly({"T": (-1, 1, 1, 1)})

@@ -8,7 +8,6 @@ from m3cube.errors import ParseError
 from m3cube.fileformats import (
     parse_complex,
     parse_manifold,
-    parse_plan,
     parse_wallspace,
     serialize_complex,
     serialize_wallspace,
@@ -154,6 +153,14 @@ RULE_CASES = [
         "exceptional fiber (0,1) needs a >= 2", 1, 1,
     ),
     (
+        B_AND_T + "  block A seifert genus=0 boundaries=1 b=5\n",
+        ManifoldGraph(
+            {"A": SeifertBlockData(0, 1, section_obstruction=5), "B": SFS},
+            (torus("T", "A.0", "B.0"),),
+        ),
+        "section obstruction b=5 needs a closed block", 3, 3,
+    ),
+    (
         "boundary A.0\nblock A seifert genus=1 boundaries=2 b=0 thin\nboundary A.1\n",
         ManifoldGraph(
             {"A": SeifertBlockData(1, 2, is_thin=True)}, boundary_tori=(end("A.0"), end("A.1"))
@@ -237,27 +244,6 @@ def test_rule_violation_positions(text, graph, fragment, line, column):
     assert fragment in problem
 
 
-def test_parse_plan_reads_counts():
-    assert parse_plan("# r s a b\nT1 1 2 2 3\n\nT2 2 0 4 5  # tail\n") == {
-        "T1": (1, 2, 2, 3),
-        "T2": (2, 0, 4, 5),
-    }
-
-
-@pytest.mark.parametrize(
-    "text,fragment,line,column",
-    [
-        ("T1 1 2 2\n", "expected: <torus id> <r> <s> <a> <b>", 1, 1),
-        ("T1 1 2 2 3\n  T1 1 1 1 1\n", "torus 'T1' repeated", 2, 3),
-        ("T1 1 2 x 3\n", "expected an integer, got 'x'", 1, 8),
-    ],
-)
-def test_plan_error_positions(text, fragment, line, column):
-    e = err(parse_plan, text)
-    assert fragment in str(e)
-    assert (e.line, e.column) == (line, column)
-
-
 # Token soup: every parser must reject malformed text with ParseError and
 # nothing else. Records are drawn near-valid so that many files get past
 # the syntax checks into validation. Counts stay small: this checks which
@@ -322,9 +308,6 @@ FUZZ = {
         _line(st.just("vertex"), _tok("abcd")),
         _line(st.just("cube"), _tok(["0", "1", "2", "3", "20000", BIG]),
               st.lists(_tok("abcde"), max_size=8)),
-    )),
-    "plan": (parse_plan, _soup(
-        _line(_tok(["T1", "T2"]), st.lists(_tok(["0", "1", "2", "-1", BIG]), min_size=4, max_size=4)),
     )),
 }
 
