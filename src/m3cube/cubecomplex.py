@@ -2,8 +2,10 @@
 
 A complex is a vertex set plus explicit cubes; each cube is a corner map
 from {0,1}^d to vertices, listed in binary-counter order (bit j of the
-corner index is coordinate j). Edges and squares are implicit: each cube's
-1- and 2-faces are enumerated from its coordinates. Identifications are
+corner index is coordinate j). Edges and squares are implicit: they are
+the 1- and 2-faces of the listed cubes that are not a facet of another
+listed cube (compared corner for corner), enumerated from their
+coordinates; a listed facet adds no face its cube lacks. Identifications are
 expressed by corner maps hitting repeated vertices, so an edge is
 determined by its endpoint pair (no parallel 1-cells).
 
@@ -34,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
+from operator import itemgetter
 
 from .errors import InputError
 from .manifold import Problem, ValidationReport
@@ -140,6 +143,17 @@ def _square_corners(d: int) -> tuple[tuple[int, int, int, int], ...]:
     )
 
 
+@cache
+def _facets(d: int) -> tuple[itemgetter, ...]:
+    """Getters of a d-cube's facets (d >= 2), one per coordinate and side,
+    each reading its corners in binary-counter order."""
+    return tuple(
+        itemgetter(*(m for m in range(2 ** d) if m >> j & 1 == s))
+        for j in range(d)
+        for s in (0, 1)
+    )
+
+
 def _least_first(q) -> tuple:
     """A square (v00, v10, v01, v11) read from its least corner: that corner,
     its two neighbours in order, the opposite corner. As adjacent corners
@@ -151,8 +165,17 @@ def _least_first(q) -> tuple:
 
 def _build_index(c: CubeComplex) -> ComplexIndex:
     rank = c.rank
+    # a cube listed as a facet of another, corner for corner, has only faces
+    # of that one; by induction on dimension the rest hold every face. The
+    # set keeps the listed corner tuples, not the facets read to find them.
+    listed = {cube.corners: cube.corners for cube in c.cubes}
+    facets = {
+        listed.get(f(cube.corners)) for cube in c.cubes if cube.dim > 1 for f in _facets(cube.dim)
+    }
     edge_set, square_set = set(), set()
     for cube in c.cubes:
+        if cube.corners in facets:
+            continue
         rs = [rank[v] for v in cube.corners]
         for a, b in _edge_corners(cube.dim):
             a, b = rs[a], rs[b]

@@ -22,6 +22,7 @@ serialize(parse(text)) reparses to an equal value.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 from .cubecomplex import Cube, CubeComplex
 from .errors import ParseError
@@ -292,6 +293,6 @@ def serialize_complex(c: CubeComplex) -> str:
     rank = c.rank
     name = {v: str(v) for v in rank}  # each vertex formatted once
     out = [f"vertex {s}" for s in name.values()]
-    for cube in sorted(c.cubes, key=lambda k: (k.dim, [rank[v] for v in k.corners])):
-        out.append(f"cube {cube.dim} " + " ".join([name[v] for v in cube.corners]))
+    for cube in sorted(c.cubes, key=lambda k: (k.dim, itemgetter(*k.corners)(rank))):
+        out.append(f"cube {cube.dim} " + " ".join(itemgetter(*cube.corners)(name)))
     return "\n".join(out) + "\n"

@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import combinations
+from math import lcm
 from operator import or_
 from typing import Sequence
 
@@ -170,15 +172,21 @@ def dual_cube_complex(ws: Wallspace, budget: int = 10 ** 6) -> DualComplex:
     return DualComplex(cx, tuple(w.wall_id for w in walls), orientations)
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
 def torus_line_wallspace(slopes: Sequence[Slope], window: int) -> Wallspace:
     """Chambers and walls cut out of the plane by the lines q*x - p*y = c.
 
     One line per slope (p, q) and each integer c with |c| <= window;
     chambers are the complementary regions, computed exactly.
+
+    The sweep cuts the x-axis at every crossing and every vertical line, so
+    no two lines meet inside a slab between consecutive cuts, nor outside
+    the outermost ones. In a slab the other lines keep one bottom-to-top
+    order, read once from their heights at one x inside it. The slab's
+    cells are the gaps of that order: the lowest lies below every line and
+    each next one lies above one more line, so a cell's sign vector is the
+    lowest one's with the lines below it flipped. A chamber is open, so it
+    meets some slab in one of its cells, and it is its sign vector, however
+    many slabs it spans.
     """
     if not slopes:
         raise InputError("need at least one slope")
@@ -187,57 +195,35 @@ def torus_line_wallspace(slopes: Sequence[Slope], window: int) -> Wallspace:
     if window < 0:
         raise InputError("window must be >= 0")
 
-    # line (a, b, c): a*x + b*y = c with (a, b) = (q, -p)
-    lines = []
-    for s in slopes:
-        for c in range(-window, window + 1):
-            lines.append((Fraction(s.q), Fraction(-s.p), Fraction(c), s, c))
+    # line k: a*x + b*y = c with (a, b) = (q, -p), labelled by its slope and c
+    labels = [(s, c) for s in slopes for c in range(-window, window + 1)]
+    lines = [(s.q, -s.p, c) for s, c in labels]
+    cuts = {Fraction(c, a) for a, b, c in lines if not b}
+    for (a1, b1, c1), (a2, b2, c2) in combinations(lines, 2):
+        det = a1 * b2 - a2 * b1
+        if det:
+            cuts.add(Fraction(c1 * b2 - c2 * b1, det))
+    cuts = sorted(cuts)
+    bounds = [cuts[0] - 2, *cuts, cuts[-1] + 2] if cuts else [Fraction(-1), Fraction(1)]
 
-    pts: list[tuple[Fraction, Fraction]] = []
-    for i in range(len(lines)):
-        a1, b1, c1 = lines[i][:3]
-        for j in range(i + 1, len(lines)):
-            a2, b2, c2 = lines[j][:3]
-            det = a1 * b2 - a2 * b1
-            if det:
-                pts.append(((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det))
-    for a, b, c, _s, _c in lines:
-        if a:
-            pts.append((c / a, Fraction(0)))
-        if b:
-            pts.append((Fraction(0), c / b))
+    # At x = n/d (d > 0) a line with b != 0 has height (c*d - a*n) / (b*d);
+    # times d*m > 0, with m the lcm of those |b|, it is an integer.
+    m = lcm(*(abs(b) for _a, b, _c in lines if b))
+    sloped = [(k, a, c, m // b) for k, (a, b, c) in enumerate(lines) if b]
+    signs = set()
+    for x0, x1 in zip(bounds, bounds[1:]):
+        x = (x0 + x1) / 2
+        n, d = x.numerator, x.denominator
+        # the lowest cell: b*y outweighs the rest of every sloped line there
+        sv = [(b < 0) - (b > 0) if b else (a * n > c * d) - (a * n < c * d) for a, b, c in lines]
+        signs.add(tuple(sv))
+        for k, _a, _c, _s in sorted(sloped, key=lambda t: (t[2] * d - t[1] * n) * t[3]):
+            sv[k] = -sv[k]
+            signs.add(tuple(sv))
 
-    bound = Fraction(1)
-    for x, y in pts:
-        bound = max(bound, abs(x) + 1, abs(y) + 1)
-
-    xs = {-bound, bound}
-    for x, _y in pts:
-        xs.add(x)
-    for a, b, c, _s, _c in lines:
-        if not b:  # vertical line x = c / a
-            xs.add(c / a)
-    cuts = sorted(x for x in xs if -bound <= x <= bound)
-
-    chambers_by_sign: dict[tuple[int, ...], int] = {}
-    for x0, x1 in zip(cuts, cuts[1:]):
-        if x0 == x1:
-            continue
-        xm = (x0 + x1) / 2
-        ys = sorted(
-            {(c - a * xm) / b for a, b, c, _s, _c in lines if b}
-            | {-bound, bound}
-        )
-        ys = [y for y in ys if -bound <= y <= bound]
-        for y0, y1 in zip(ys, ys[1:]):
-            ym = (y0 + y1) / 2
-            sv = tuple(_sign(a * xm + b * ym - c) for a, b, c, _s, _c in lines)
-            assert 0 not in sv
-            chambers_by_sign.setdefault(sv, len(chambers_by_sign))
-
-    ordered = sorted(chambers_by_sign)
+    ordered = sorted(signs)
     walls = []
-    for k, (_a, _b, _c, s, c) in enumerate(lines):
+    for k, (s, c) in enumerate(labels):
         neg = frozenset(i for i, sv in enumerate(ordered) if sv[k] < 0)
         pos = frozenset(i for i, sv in enumerate(ordered) if sv[k] > 0)
         walls.append(Wall(f"{s.p}/{s.q}@{c}", neg, pos))

@@ -1,5 +1,7 @@
 """Text formats: parsing, serialization, and error positions."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -445,6 +447,64 @@ def test_parse_complex_round_trip():
     c = parse_complex(text)
     assert len(c.vertices) == 4
     assert serialize_complex(c) == text
+
+
+def reference_cc(c):
+    """The .cc writer's rule spelled out: vertices in str order, then cubes
+    sorted by dimension and by the list of their corners' positions in it."""
+    order = sorted(c.vertices, key=str)
+    rank = {v: r for r, v in enumerate(order)}
+    cubes = sorted(c.cubes, key=lambda k: (k.dim, [rank[v] for v in k.corners]))
+    lines = [f"vertex {v}" for v in order]
+    lines += [f"cube {k.dim} " + " ".join(str(v) for v in k.corners) for k in cubes]
+    return "\n".join(lines) + "\n"
+
+
+def random_cubes(vertices, rng):
+    """Cubes of dimension 1-3 whose corners repeat but whose edges do not
+    degenerate, some records listed twice, in random order."""
+    cubes = []
+    for _ in range(rng.randint(1, 12)):
+        d = rng.randint(1, 3)
+        corners = []
+        for m in range(2 ** d):
+            below = {corners[m ^ 1 << j] for j in range(d) if m >> j & 1}
+            corners.append(rng.choice([v for v in vertices if v not in below]))
+        cubes.append(Cube(d, tuple(corners)))
+    cubes += [rng.choice(cubes) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(cubes)
+    return CubeComplex(tuple(rng.sample(vertices, len(vertices))), tuple(cubes))
+
+
+def writer_inputs():
+    rng = random.Random(26)
+    inputs = [random_cubes(list(range(14)), rng) for _ in range(40)]  # "10" < "2"
+    names = ["a", "b", "a10", "a2", "Z", "z0", "_", "é", "10", "9"]
+    inputs += [random_cubes(rng.sample(names, rng.randint(4, 10)), rng) for _ in range(40)]
+    inputs.append(CubeComplex(("b", "a"), (Cube(2, ("a", "b", "b", "a")),) * 2))
+    for k in range(2, 7):
+        walls = tuple(
+            Wall(
+                f"w{i}",
+                frozenset(c for c in range(2 ** k) if c >> i & 1),
+                frozenset(c for c in range(2 ** k) if not c >> i & 1),
+            )
+            for i in range(k)
+        )
+        inputs.append(dual_cube_complex(Wallspace(tuple(range(2 ** k)), walls)).complex)
+    for third in (Slope(1, 1), Slope(1, 2)):
+        slopes = (Slope(1, 0), Slope(0, 1), third)
+        for w in range(3):
+            inputs.append(dual_cube_complex(torus_line_wallspace(slopes, w)).complex)
+    return inputs
+
+
+def test_serialize_complex_matches_reference_writer():
+    inputs = writer_inputs()
+    assert any(len(set(k.corners)) < len(k.corners) for c in inputs for k in c.cubes)
+    assert any(len(set(c.cubes)) < len(c.cubes) for c in inputs)
+    for c in inputs:
+        assert serialize_complex(c) == reference_cc(c)
 
 
 @pytest.mark.parametrize(

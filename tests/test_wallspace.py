@@ -1,6 +1,7 @@
 """Wallspaces, crossing, Sageev duals, exact torus line arrangements."""
 
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -238,30 +239,21 @@ def test_torus_wallspace_chamber_counts():
     assert (len(three.chambers), len(three.walls)) == (30, 9)
 
 
-def sample_sign_vectors(slopes, window, step):
-    """Dense-grid oracle: distinct sign vectors over the line arrangement."""
-    lines = [
-        (Fraction(s.q), Fraction(-s.p), Fraction(c))
-        for s in slopes
-        for c in range(-window, window + 1)
-    ]
+def sample_sign_vectors(slopes, window):
+    """Dense-grid oracle: distinct sign vectors over the line arrangement at
+    the points (x/8, y/8) with |x|, |y| <= 64, which cover [-8, 8]^2 with
+    step 1/8. Each line q*x - p*y = c is scaled by 8, so the signs are read
+    in integers."""
+    lines = [(s.q, -s.p, 8 * c) for s in slopes for c in range(-window, window + 1)]
     # far corners must reach every strip of every family, so the box has to
     # be generously larger than the window
-    bound = Fraction(8)
-    seen = {}
-    x = -bound
-    while x <= bound:
-        y = -bound
-        while y <= bound:
-            sv = tuple(
-                (a * x + b * y - c > 0) - (a * x + b * y - c < 0)
-                for a, b, c in lines
-            )
+    seen = set()
+    for x in range(-64, 65):
+        for y in range(-64, 65):
+            sv = tuple((a * x + b * y > c) - (a * x + b * y < c) for a, b, c in lines)
             if 0 not in sv:
-                seen[sv] = (x, y)
-            y += step
-        x += step
-    return seen, lines
+                seen.add(sv)
+    return seen
 
 
 @pytest.mark.parametrize(
@@ -277,7 +269,7 @@ def sample_sign_vectors(slopes, window, step):
 def test_torus_chambers_match_grid_sampling(slopes):
     window = 1
     ws = torus_line_wallspace(slopes, window)
-    sampled, lines = sample_sign_vectors(slopes, window, Fraction(1, 8))
+    sampled = sample_sign_vectors(slopes, window)
 
     # rebuild each chamber's sign vector from the wall memberships
     ids = [w.wall_id for w in ws.walls]
@@ -293,7 +285,7 @@ def test_torus_chambers_match_grid_sampling(slopes):
                 pytest.fail("chamber on both sides of a line wall")
             sv.append(1 if ch in w.half_v else -1)
         rebuilt.add(tuple(sv))
-    assert rebuilt == set(sampled)
+    assert rebuilt == sampled
     assert len(rebuilt) == len(ws.chambers)
 
 
@@ -305,3 +297,59 @@ def test_torus_dual_is_grid():
     assert len([q for q in c.cubes if q.dim == 1]) == 24
     assert len([q for q in c.cubes if q.dim == 2]) == 9
     assert dimension(c) == 2
+
+
+def test_torus_concurrent_lines_make_six_chambers():
+    # three lines through the origin; a sweep clipped to a box around the
+    # crossings lost the two sectors that leave it through its top and bottom
+    ws = torus_line_wallspace((Slope(1, 0), Slope(0, 1), Slope(1, 2)), 0)
+    assert len(ws.chambers) == 6
+    c = dual_cube_complex(ws).complex
+    assert (len(c.vertices), dimension(c)) == (8, 3)
+
+
+def arrangement_chambers(slopes, window):
+    """1 + L + the sum over crossing points p of (m_p - 1), where m_p lines
+    pass through p: the region count of L lines in the plane."""
+    lines = [(s.q, -s.p, c) for s in slopes for c in range(-window, window + 1)]
+    through = {}
+    for i, j in itertools.combinations(range(len(lines)), 2):
+        (a1, b1, c1), (a2, b2, c2) = lines[i], lines[j]
+        det = a1 * b2 - a2 * b1
+        if det:
+            point = (Fraction(c1 * b2 - c2 * b1, det), Fraction(a1 * c2 - a2 * c1, det))
+            through.setdefault(point, set()).update((i, j))
+    return 1 + len(lines) + sum(len(m) - 1 for m in through.values())
+
+
+def product_of_paths(n, window):
+    """Vertices and d-cubes of the product of n paths with 2W+2 vertices:
+    (2W+2)^n and C(n,d) (2W+1)^d (2W+2)^(n-d)."""
+    k = 2 * window + 2
+    return k ** n, {d: math.comb(n, d) * (k - 1) ** d * k ** (n - d) for d in range(1, n + 1)}
+
+
+def seeded_slope_sets():
+    primitive = [
+        (p, q)
+        for p in range(5)
+        for q in range(-4, 5)
+        if math.gcd(p, q) == 1 and (p > 0 or q == 1)
+    ]
+    rng = random.Random(26)
+    cases = [([(1, 2), (2, -1), (1, 3)], 4)]  # 980 dual vertices under the clipped sweep
+    while len(cases) < 41:
+        cases.append((rng.sample(primitive, rng.randint(1, 3)), rng.randint(0, 2)))
+    return cases
+
+
+@pytest.mark.parametrize("pairs,window", seeded_slope_sets())
+def test_torus_arrangement_matches_closed_forms(pairs, window):
+    slopes = tuple(Slope(p, q) for p, q in pairs)
+    ws = torus_line_wallspace(slopes, window)
+    assert len(ws.chambers) == arrangement_chambers(slopes, window)
+    c = dual_cube_complex(ws).complex
+    by_dim = {}
+    for q in c.cubes:
+        by_dim[q.dim] = by_dim.get(q.dim, 0) + 1
+    assert (len(c.vertices), by_dim) == product_of_paths(len(slopes), window)
