@@ -35,7 +35,7 @@ from typing import Sequence
 
 from .decomposition import interior_blocks, is_interior
 from .errors import InputError
-from .homology import LatticeBasis, class_in_h1, presentation_h1
+from .homology import LatticeBasis, presentation_h1
 from .manifold import (
     BAD_GEOMETRIES,
     GOOD_GEOMETRIES,
@@ -115,7 +115,8 @@ def is_chargeless_block(m: ManifoldGraph, block_id: str) -> ChargeVerdict:
     and rows e_i - e_last over the p = 0 ends (x = 0) when some p_i = 0. A
     block with no ends is chargeless vacuously, with witness (). The
     witness is the sum of the rows, and sum(w_i * z_i) + R*x is checked to
-    be 0 by integer multiplication against the block's presentation. When
+    be 0 by integer multiplication against the block's presentation; each
+    z_i = p_i*d_k + q_i*h adds into two entries of R*x. When
     no witness exists, ``obstruction_index`` is the first end whose weight
     is zero on every row. ``euler_diagnostic`` is the negated relative
     Euler number when no p_i is 0, and the block's own Euler number when it
@@ -169,8 +170,8 @@ def is_chargeless_block(m: ManifoldGraph, block_id: str) -> ChargeVerdict:
         pres = presentation_h1(data)
         residual = [sum(a * b for a, b in zip(row, x)) for row in pres.relations.rows]
         for w, e in zip(witness, ends):
-            z = class_in_h1(pres, e.boundary_index, e.slope)
-            residual = [r + w * c for r, c in zip(residual, z)]
+            residual[pres.boundary_index(e.boundary_index)] += w * e.slope.p
+            residual[pres.fiber_index] += w * e.slope.q
         if any(residual) or 0 in witness:
             raise AssertionError(
                 f"witness for {block_id} failed the substitution check"
@@ -213,7 +214,6 @@ def fill_along_slopes(b: SeifertBlockData, slopes: Sequence[Slope]) -> SeifertBl
         num_boundary=0,
         exceptional=b.exceptional + tuple(extra),
         section_obstruction=0,
-        is_thin=False,
     )
 
 

@@ -1,7 +1,9 @@
 """Block graph surgery and the Helly property of subtrees.
 
-The modified decomposition inserts thin T^2 x I blocks wherever a torus
-touches no Seifert block, so that afterwards every torus has a Seifert side.
+The modified decomposition inserts a thin block, a copy of T^2 x I, wherever
+a torus touches no Seifert block, so that afterwards every torus has a
+Seifert side. A thin block is a plain ``SeifertBlockData`` of genus 0 with
+two boundary tori and no exceptional fibers; only its ``thin:`` id marks it.
 
 Also here: the Helly step for subtrees of a tree, which acceptance
 criterion 8 tests; no subcommand runs it.
@@ -23,7 +25,7 @@ from .manifold import (
 )
 
 
-THIN_BLOCK = SeifertBlockData(genus=0, num_boundary=2, is_thin=True)
+THIN_BLOCK = SeifertBlockData(genus=0, num_boundary=2)
 
 
 def _fresh_id(base: str, taken: set[str]) -> str:

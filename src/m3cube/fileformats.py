@@ -174,11 +174,8 @@ def _parse_seifert(tokens, lineno) -> SeifertBlockData:
     genus = boundaries = None
     exceptional: tuple = ()
     obstruction = 0
-    thin = False
     for col, tok in tokens:
-        if tok == "thin":
-            thin = True
-        elif tok.startswith("genus="):
+        if tok.startswith("genus="):
             genus = _int(tok[6:], lineno, col + 6)
         elif tok.startswith("boundaries="):
             boundaries = _int(tok[11:], lineno, col + 11)
@@ -190,7 +187,7 @@ def _parse_seifert(tokens, lineno) -> SeifertBlockData:
             _fail(f"unknown seifert field {tok!r}", lineno, col)
     if genus is None or boundaries is None:
         _fail("seifert block needs genus= and boundaries=", lineno)
-    return SeifertBlockData(genus, boundaries, exceptional, obstruction, thin)
+    return SeifertBlockData(genus, boundaries, exceptional, obstruction)
 
 
 def _parse_hyperbolic(tokens, lineno) -> HyperbolicBlockData:

@@ -1,10 +1,9 @@
 """Exact integer linear algebra for first homology of Seifert blocks.
 
 Everything here runs over Python's arbitrary-precision integers: Smith normal
-form with recorded unimodular transforms, abelianized block presentations
-and fiber classes in them, and the container for the chargeless test's
-solution lattice, whose rows carry the relation coefficients that certify
-them.
+form with recorded unimodular transforms, abelianized block presentations,
+and the container for the chargeless test's solution lattice, whose rows
+carry the relation coefficients that certify them.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError
-from .manifold import SeifertBlockData, Slope
+from .manifold import SeifertBlockData
 
 
 @dataclass(frozen=True)
@@ -218,21 +217,6 @@ def presentation_h1(b: SeifertBlockData) -> AbelianPresentation:
     rows += [[0] * mexc + [1] for _ in range(p)]
     rows.append([bb for _, bb in b.exceptional] + [-b.section_obstruction if p == 0 else 0])
     return AbelianPresentation(IntMatrix.from_rows(rows), b.genus, mexc, p)
-
-
-def class_in_h1(
-    pres: AbelianPresentation, boundary_index: int, s: Slope
-) -> tuple[int, ...]:
-    """Coordinates in ``pres`` of the curve p*d_k + q*h on boundary torus k,
-    over the rows of its relations (a boundary curve has no surface part).
-
-    ``pres`` is the block's presentation from ``presentation_h1``; building
-    it once per block and passing it in serves every end of that block.
-    """
-    vec = [0] * pres.relations.nrows
-    vec[pres.boundary_index(boundary_index)] = s.p
-    vec[pres.fiber_index] = s.q
-    return tuple(vec)
 
 
 @dataclass(frozen=True)

@@ -104,15 +104,14 @@ class SeifertBlockData:
     genus is the genus of the (orientable) base surface, exceptional fibers
     are (a_j, b_j) pairs with a_j >= 2, and section_obstruction is the integer
     Euler term b. A block with boundary tori has no section obstruction, so
-    ``validate`` rejects a nonzero b there. Thin blocks are copies of
-    T^2 x I: genus 0, two boundary tori, no exceptional fibers.
+    ``validate`` rejects a nonzero b there. The ``.m3`` fields are
+    ``genus=``, ``boundaries=``, ``exceptional=`` and ``b=``.
     """
 
     genus: int
     num_boundary: int
     exceptional: tuple[tuple[int, int], ...] = ()
     section_obstruction: int = 0
-    is_thin: bool = False
 
 
 @dataclass(frozen=True)
@@ -159,13 +158,12 @@ class BlockIndex:
     """Adjacency of a block graph, derived once from its tori.
 
     ``ends`` maps a block to its JSJ ends as (edge, 'a'|'b') pairs sorted by
-    (torus id, side); a self-gluing contributes both of its ends. ``tori``
-    maps a torus id to its first edge in ``jsj_tori``. ``boundary_blocks``
-    holds the blocks that carry a manifold-boundary torus.
+    (torus id, side); a self-gluing contributes both of its ends.
+    ``boundary_blocks`` holds the blocks that carry a manifold-boundary
+    torus.
     """
 
     ends: dict[str, tuple[tuple[TorusEdge, str], ...]]
-    tori: dict[str, TorusEdge]
     boundary_blocks: frozenset[str]
 
 
@@ -177,8 +175,8 @@ class ManifoldGraph:
     ``geometry_label`` is trusted input for manifolds with no JSJ tori.
 
     ``index`` is built from ``jsj_tori`` and ``boundary_tori`` on first use
-    and kept for the life of the graph, so ``ends_of``, ``neighbors`` and
-    ``torus`` cost O(degree) or O(1) rather than a scan of every torus.
+    and kept for the life of the graph, so ``ends_of`` and ``neighbors``
+    cost O(degree) rather than a scan of every torus.
     ``blocks`` is not indexed: it is a plain dict, read directly.
     """
 
@@ -190,16 +188,13 @@ class ManifoldGraph:
     @cached_property
     def index(self) -> BlockIndex:
         ends: dict[str, list[tuple[TorusEdge, str]]] = {}
-        tori: dict[str, TorusEdge] = {}
         for t in self.jsj_tori:
-            tori.setdefault(t.torus_id, t)
             ends.setdefault(t.end_a.block_id, []).append((t, "a"))
             ends.setdefault(t.end_b.block_id, []).append((t, "b"))
         for pairs in ends.values():
             pairs.sort(key=lambda ts: (ts[0].torus_id, ts[1]))
         return BlockIndex(
             {b: tuple(pairs) for b, pairs in ends.items()},
-            tori,
             frozenset(end.block_id for end in self.boundary_tori),
         )
 
@@ -207,7 +202,11 @@ class ManifoldGraph:
         return sorted(self.blocks)
 
     def torus(self, torus_id: str) -> TorusEdge:
-        return self.index.tori[torus_id]
+        """The first JSJ torus with this id; KeyError when there is none."""
+        for t in self.jsj_tori:
+            if t.torus_id == torus_id:
+                return t
+        raise KeyError(torus_id)
 
     def ends_of(self, block_id: str) -> list[tuple[TorusEdge, str]]:
         """All JSJ ends on a block, as (edge, 'a'|'b') pairs, sorted."""
@@ -281,10 +280,6 @@ def _block_problems(block_id: str, data: BlockData) -> list[Problem]:
                 add(f"exceptional fiber ({a},{b}) needs a >= 2")
         if data.section_obstruction and data.num_boundary > 0:
             add(f"section obstruction b={data.section_obstruction} needs a closed block")
-        if data.is_thin and (
-            data.genus != 0 or data.num_boundary != 2 or data.exceptional
-        ):
-            add("thin block must have genus 0, two boundary tori, no exceptional fibers")
     elif isinstance(data, HyperbolicBlockData):
         if data.num_boundary < 1:
             add("hyperbolic block needs at least one torus end")

@@ -38,10 +38,10 @@ def hyp_pair():
 def test_modify_inserts_thin_between_hyperbolic():
     m = modify_jsj(hyp_pair())
     assert validate(m).ok
-    thin = [b for b, d in m.blocks.items() if getattr(d, "is_thin", False)]
+    thin = [b for b in m.blocks if b.startswith("thin:")]
     assert len(thin) == 1
     tid = thin[0]
-    assert m.blocks[tid] == SeifertBlockData(0, 2, is_thin=True)
+    assert m.blocks[tid] == SeifertBlockData(0, 2)
     # no torus joins two hyperbolic blocks any more
     for t in m.jsj_tori:
         kinds = {
@@ -75,7 +75,8 @@ def test_modify_collars_hyperbolic_boundary():
     assert len(out.blocks) == 2
     assert len(out.jsj_tori) == 1
     (end,) = out.boundary_tori
-    assert getattr(out.blocks[end.block_id], "is_thin", False)
+    assert end.block_id.startswith("thin:")
+    assert out.blocks[end.block_id] == SeifertBlockData(0, 2)
 
 
 def test_modify_idempotent():

@@ -76,35 +76,45 @@ def test_only_newlines_end_a_line(ch):
     assert (e.line, e.column) == (1, 23)
 
 
-@pytest.mark.parametrize(
-    "text,fragment,line,column",
-    [
-        ("blok X\n", "unknown record", 1, 1),
-        ("block A seifert genus=0 boundaries=1 b=0\nblock A seifert genus=0 boundaries=1 b=0\n", "redeclared", 2, 7),
-        ("block A shiny\n", "unknown block kind", 1, 9),
-        ("block A seifert genus=0 b=0\n", "needs genus= and boundaries=", 1, None),
-        ("block A seifert genus=x boundaries=1 b=0\n", "expected an integer", 1, 23),
-        ("block A seifert genus=0 boundaries=2 exceptional=(1,1) b=0\n", "needs a >= 2", 1, None),
-        # a hyperbolic block is its cusp count: no field but boundaries=
-        ("block A hyperbolic boundaries=1 frame0=(1,0)|(0,1)\n", "unknown hyperbolic field", 1, 33),
-        ("block A seifert genus=0 boundaries=2 b=0\ntorus T A.0 A.1 glue=1,1,1,1\n", "determinant", 2, 17),
-        ("block A seifert genus=0 boundaries=2 b=0\ntorus T A.0 B.0 glue=0,1,1,0\n", "unknown block 'B'", 2, 13),
-        ("block A seifert genus=0 boundaries=1 b=0\ntorus T A.0 A.3 glue=0,1,1,0\n", "out of range (block A has 1)", 2, 13),
-        ("block A seifert genus=0 boundaries=2 b=0\ntorus T A.0 A.0 glue=0,1,1,0\n", "already used", 2, 13),
-        ("block A seifert genus=0 boundaries=1 b=0\ntorus T A.0 glue=0,1,1,0\n", "torus needs", 2, 1),
-        ("block A seifert genus=0 boundaries=0 b=0\ngeometry Spherical\n", "unknown geometry label", 2, 10),
-        ("boundary A.0 A.1\n", "boundary needs one", 1, 1),
-        # a syntax error anywhere beats a rule violation on an earlier line
-        ("block A seifert genus=1 boundaries=2 b=0\ntorus T A.0 A.0 glue=1,0,0,2\nblok\n", "unknown record", 3, 1),
-        # the earliest record wins, although validate lists tori first
-        ("block A seifert genus=1 boundaries=2 b=0\nboundary Z.0\ntorus T A.0 A.1 glue=1,0,0,2\n", "unknown block 'Z'", 2, 10),
-        # integers too long for int() to convert by default (Python >= 3.10.7)
-        pytest.param(
-            f"block A seifert genus=0 boundaries=0 exceptional=({'9' * 4400},1) b=0\n",
-            "expected an integer", 1, 50, id="long-integer-in-pair",
-        ),
-    ],
-)
+MANIFOLD_ERRORS = [
+    ("blok X\n", "unknown record", 1, 1),
+    ("block A seifert genus=0 boundaries=1 b=0\nblock A seifert genus=0 boundaries=1 b=0\n", "redeclared", 2, 7),
+    ("block A shiny\n", "unknown block kind", 1, 9),
+    ("block A seifert genus=0 b=0\n", "needs genus= and boundaries=", 1, None),
+    ("block A seifert genus=x boundaries=1 b=0\n", "expected an integer", 1, 23),
+    ("block A seifert genus=0 boundaries=2 exceptional=(1,1) b=0\n", "needs a >= 2", 1, None),
+    # a hyperbolic block is its cusp count: no field but boundaries=
+    ("block A hyperbolic boundaries=1 frame0=(1,0)|(0,1)\n", "unknown hyperbolic field", 1, 33),
+    ("block A seifert genus=0 boundaries=2 b=0\ntorus T A.0 A.1 glue=1,1,1,1\n", "determinant", 2, 17),
+    ("block A seifert genus=0 boundaries=2 b=0\ntorus T A.0 B.0 glue=0,1,1,0\n", "unknown block 'B'", 2, 13),
+    ("block A seifert genus=0 boundaries=1 b=0\ntorus T A.0 A.3 glue=0,1,1,0\n", "out of range (block A has 1)", 2, 13),
+    ("block A seifert genus=0 boundaries=2 b=0\ntorus T A.0 A.0 glue=0,1,1,0\n", "already used", 2, 13),
+    ("block A seifert genus=0 boundaries=1 b=0\ntorus T A.0 glue=0,1,1,0\n", "torus needs", 2, 1),
+    ("block A seifert genus=0 boundaries=0 b=0\ngeometry Spherical\n", "unknown geometry label", 2, 10),
+    ("boundary A.0 A.1\n", "boundary needs one", 1, 1),
+    ("block A\n", "block needs an id and a kind", 1, 1),
+    ("block H hyperbolic\n", "hyperbolic block needs boundaries=", 1, 1),
+    ("block A seifert genus=0 boundaries=0 exceptional=(2,1)(3 b=0\n", "expected (p,q) pairs, got '(3'", 1, 55),
+    ("block A seifert genus=0 boundaries=2 b=0\ntorus T A B.0 glue=0,1,1,0\n", "expected <block>.<index>, got 'A'", 2, 9),
+    ("block A seifert genus=0 boundaries=2 b=0\ntorus T A.0 A.1 0,1,1,0\n", "expected glue=", 2, 17),
+    ("block A seifert genus=0 boundaries=2 b=0\ntorus T A.0 A.1 glue=0,1,1\n", "glue needs four entries", 2, 17),
+    ("block A seifert genus=0 boundaries=0 b=0\ngeometry\n", "geometry needs one label", 2, 1),
+    ("block A seifert genus=0 boundaries=0 b=0\ngeometry S2xR\ngeometry S2xR\n", "geometry redeclared", 3, 10),
+    # `thin` is not a seifert field
+    ("block A seifert genus=1 boundaries=2 b=0 thin\nboundary A.0\nboundary A.1\n", "unknown seifert field 'thin'", 1, 42),
+    # a syntax error anywhere beats a rule violation on an earlier line
+    ("block A seifert genus=1 boundaries=2 b=0\ntorus T A.0 A.0 glue=1,0,0,2\nblok\n", "unknown record", 3, 1),
+    # the earliest record wins, although validate lists tori first
+    ("block A seifert genus=1 boundaries=2 b=0\nboundary Z.0\ntorus T A.0 A.1 glue=1,0,0,2\n", "unknown block 'Z'", 2, 10),
+    # integers too long for int() to convert by default (Python >= 3.10.7)
+    pytest.param(
+        f"block A seifert genus=0 boundaries=0 exceptional=({'9' * 4400},1) b=0\n",
+        "expected an integer", 1, 50, id="long-integer-in-pair",
+    ),
+]
+
+
+@pytest.mark.parametrize("text,fragment,line,column", MANIFOLD_ERRORS)
 def test_manifold_error_positions(text, fragment, line, column):
     e = err(parse_manifold, text)
     assert fragment in str(e)
@@ -161,13 +171,6 @@ RULE_CASES = [
             (torus("T", "A.0", "B.0"),),
         ),
         "section obstruction b=5 needs a closed block", 3, 3,
-    ),
-    (
-        "boundary A.0\nblock A seifert genus=1 boundaries=2 b=0 thin\nboundary A.1\n",
-        ManifoldGraph(
-            {"A": SeifertBlockData(1, 2, is_thin=True)}, boundary_tori=(end("A.0"), end("A.1"))
-        ),
-        "thin block must have genus 0", 2, 1,
     ),
     (
         "block H hyperbolic boundaries=0\ngeometry H3\n",
@@ -333,20 +336,24 @@ def test_parse_wallspace_round_trip():
     assert serialize_wallspace(ws) == text
 
 
-@pytest.mark.parametrize(
-    "text,fragment,line",
-    [
-        ("wall w U=0 V=1\n", "missing chambers record", 1),
-        ("chambers 2\nchambers 2\n", "chambers redeclared", 2),
-        ("chambers 0\n", "at least one chamber", 1),
-        ("chambers 2\nwall w U=0 V=5\n", "out of range", 2),
-        ("chambers 2\nwall w U=0 V=1\nwall w U=1 V=0\n", "redeclared", 3),
-        ("chambers 2\nwall w V=1 U=0\n", "expected U=", 2),
-        ("chambers 2\nwall w U=0,1 V=1\n", "contains", 2),
-        ("chambers 4\nwall w U=0 V=1\n", "cover", 2),
-        ("chambers two\n", "expected an integer", 1),
-    ],
-)
+WALLSPACE_ERRORS = [
+    ("wall w U=0 V=1\n", "missing chambers record", 1),
+    ("chambers 2\nchambers 2\n", "chambers redeclared", 2),
+    ("chambers 0\n", "at least one chamber", 1),
+    ("chambers 2\nwall w U=0 V=5\n", "out of range", 2),
+    ("chambers 2\nwall w U=0 V=1\nwall w U=1 V=0\n", "redeclared", 3),
+    ("chambers 2\nwall w V=1 U=0\n", "expected U=", 2),
+    ("chambers 2\nwall w U=0,1 V=1\n", "contains", 2),
+    ("chambers 4\nwall w U=0 V=1\n", "cover", 2),
+    ("chambers two\n", "expected an integer", 1),
+    ("chambers\n", "chambers needs a count", 1),
+    ("chambers 2\nroom 1\n", "unknown record 'room'", 2),
+    ("chambers 2\nwall w U=0\n", "wall needs", 2),
+    ("chambers 2\nwall w U=0 W=1\n", "expected V=", 2),
+]
+
+
+@pytest.mark.parametrize("text,fragment,line", WALLSPACE_ERRORS)
 def test_wallspace_error_positions(text, fragment, line):
     e = err(parse_wallspace, text)
     assert fragment in str(e)
@@ -507,18 +514,20 @@ def test_serialize_complex_matches_reference_writer():
         assert serialize_complex(c) == reference_cc(c)
 
 
-@pytest.mark.parametrize(
-    "text,fragment,line",
-    [
-        ("vertex a\nvertex a\n", "redeclared", 2),
-        ("vertex a\ncube 0 a\n", "dimension must be >= 1", 2),
-        ("vertex a\nvertex b\ncube 2 a b\n", "needs 4 corners", 3),
-        ("vertex a\ncube 1 a z\n", "unknown vertex", 2),
-        ("vertex a\ncube 1 a a\n", "degenerate edge", 2),
-        ("vertex a\ncube 20000 a\n", "20000-cube needs 2^20000 corners", 2),
-        ("simplex 1 a b\n", "unknown record", 1),
-    ],
-)
+COMPLEX_ERRORS = [
+    ("vertex a\nvertex a\n", "redeclared", 2),
+    ("vertex a\ncube 0 a\n", "dimension must be >= 1", 2),
+    ("vertex a\nvertex b\ncube 2 a b\n", "needs 4 corners", 3),
+    ("vertex a\ncube 1 a z\n", "unknown vertex", 2),
+    ("vertex a\ncube 1 a a\n", "degenerate edge", 2),
+    ("vertex a\ncube 20000 a\n", "20000-cube needs 2^20000 corners", 2),
+    ("simplex 1 a b\n", "unknown record", 1),
+    ("vertex a b\n", "vertex needs one id", 1),
+    ("vertex a\ncube\n", "cube needs a dimension", 2),
+]
+
+
+@pytest.mark.parametrize("text,fragment,line", COMPLEX_ERRORS)
 def test_complex_error_positions(text, fragment, line):
     e = err(parse_complex, text)
     assert fragment in str(e)

@@ -140,14 +140,6 @@ def test_validate_names_bad_determinant():
     assert any("T" in p and "determinant 2" in p for p in report.problems)
 
 
-def test_validate_thin_shape():
-    m = ManifoldGraph(
-        {"M": SeifertBlockData(1, 2, is_thin=True)},
-        boundary_tori=(TorusEnd("M", 0), TorusEnd("M", 1)),
-    )
-    assert any("thin" in p for p in validate(m).problems)
-
-
 def test_validate_geometry_with_tori():
     m = ManifoldGraph(
         {"A": SeifertBlockData(1, 1), "B": SeifertBlockData(1, 1)},
