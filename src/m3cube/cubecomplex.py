@@ -27,8 +27,12 @@ in no common square osculate, directly when their darts out of that vertex
 share a class; two hyperplanes inter-osculate when they cross in some
 square and osculate elsewhere.
 
+A cell is a corner map up to the cube's symmetries, so repeating a record,
+listing a face or relisting a cube in another orientation adds no cell.
 Nonpositive curvature is decided in every dimension by Gromov's link
-condition (see ``check_npc``).
+condition on the distinct cells (see ``check_npc``): simpliciality from the
+index's squares, flagness from the corners of its ``cells``, the listed
+cubes that are no facet of another listed cube.
 """
 
 from __future__ import annotations
@@ -59,6 +63,9 @@ class ComplexIndex:
     square's edge ids (xp, qy, xq, py), two parallel pairs. ``dart_class``
     maps a dart to its union-find root and ``plane`` an edge to its
     hyperplane. ``incident[r]`` lists the edges at rank r, ascending.
+    ``cells`` holds, sorted and each once, the corner ranks of the listed
+    cubes that are no facet of another listed cube; every cell of the
+    complex is a face of one of them.
     """
 
     vertices: tuple
@@ -68,6 +75,7 @@ class ComplexIndex:
     dart_class: tuple[int, ...]
     plane: tuple[int, ...]
     incident: tuple[tuple[int, ...], ...]
+    cells: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -172,15 +180,16 @@ def _build_index(c: CubeComplex) -> ComplexIndex:
     facets = {
         listed.get(f(cube.corners)) for cube in c.cubes if cube.dim > 1 for f in _facets(cube.dim)
     }
+    cells = tuple(
+        sorted({itemgetter(*corners)(rank) for corners in listed if corners not in facets})
+    )
     edge_set, square_set = set(), set()
-    for cube in c.cubes:
-        if cube.corners in facets:
-            continue
-        rs = [rank[v] for v in cube.corners]
-        for a, b in _edge_corners(cube.dim):
+    for rs in cells:
+        d = len(rs).bit_length() - 1
+        for a, b in _edge_corners(d):
             a, b = rs[a], rs[b]
             edge_set.add((a, b) if a < b else (b, a))
-        for q in _square_corners(cube.dim):
+        for q in _square_corners(d):
             square_set.add(_least_first([rs[i] for i in q]))
     edges = tuple(sorted(edge_set))
     squares = tuple(sorted(square_set))
@@ -214,7 +223,14 @@ def _build_index(c: CubeComplex) -> ComplexIndex:
         incident[lo].append(k)
         incident[hi].append(k)
     return ComplexIndex(
-        tuple(rank), edges, squares, tuple(sides), root, plane, tuple(map(tuple, incident))
+        tuple(rank),
+        edges,
+        squares,
+        tuple(sides),
+        root,
+        plane,
+        tuple(map(tuple, incident)),
+        cells,
     )
 
 
@@ -353,76 +369,102 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _empty_clique_sizes(germs: list[int], width: int) -> list[int]:
-    """Sizes of the empty cliques found in the link spanned by ``germs``.
-
-    Link vertices are the bits 0 .. width-1; the simplices are the nonempty
-    subsets of the germ masks. The link is flag exactly when every simplex
-    s extends by every link vertex adjacent to all of s: any clique is then
-    a simplex, by induction on its size.
-    """
-    nbrs = [0] * width
-    simplices = set()
-    for mask in sorted(germs, key=int.bit_count, reverse=True):
-        if mask in simplices:
-            continue  # a face of a larger germ: adds no simplex or adjacency
-        for u in _bits(mask):
-            nbrs[u] |= mask
-        sub = mask
-        while sub:
-            simplices.add(sub)
-            sub = (sub - 1) & mask
-    sizes = set()
-    for s in simplices:
-        common = -1
-        for u in _bits(s):
-            common &= nbrs[u]
-        for u in _bits(common & ~s):
-            if s | 1 << u not in simplices:
-                sizes.add(s.bit_count() + 1)
-    return sorted(sizes)
+def _upper_faces(d: int):
+    """Each face of dimension 3 or more of a d-cube: its corner positions and
+    the position bits of its coordinates."""
+    for k in range(3, d + 1):
+        for axes in combinations(range(d), k):
+            flips = [1 << j for j in axes]
+            free = sum(flips)
+            subs = [m for m in range(2**d) if not m & ~free]
+            for base in range(2**d):
+                if not base & free:
+                    yield [base | m for m in subs], flips
 
 
 def check_npc(c: CubeComplex) -> NPCReport:
     """Gromov's criterion: every vertex link simplicial and flag.
 
-    A corner's germ is the mask of its cube's edges there, over positions
-    in the vertex's incidence list. Simplicial means no germ repeats an
-    edge (a link loop) and no two corners span the same link simplex; flag
-    is tested by simplex extension, in any dimension and in time polynomial
-    in the size of the complex (each corner of a d-cube adds at most 2^d
-    link simplices).
+    The link at v has a vertex per edge at v and a simplex per corner at v
+    of each distinct cell, faces of listed cubes included; a corner's germ
+    is the set of its cell's edges there.
+
+    Simplicial is read from the index's squares: no square corner meets one
+    edge twice (a link loop), and no two (square, corner) pairs at a vertex
+    meet the same two edges (a doubled simplex). Where two distinct cells
+    have the same germ at a vertex, two distinct squares of theirs always
+    share a corner and both its edges; so a doubled simplex of any
+    dimension shows on squares, unless it comes from one cell whose corner
+    map is fixed by a symmetry that moves a corner. That needs repeated
+    corners, so only the cells with repeated corners have their faces of
+    dimension 3 and up checked for two corners at one vertex with equal
+    germs.
+
+    Flag is read from the germs of the index's ``cells``, as masks over the
+    vertex's incidence list; the link's simplices are their subsets. It is
+    flag exactly when, for every germ F and link vertex u outside F with
+    s = F & N(u) of size at least 2, s + u lies in some germ: a clique then
+    spans a simplex, by induction on its size.
     """
-    idx, rank = c.index, c.rank
+    idx = c.index
+    name = idx.vertices
+    problems: list[str] = []
+
+    pairs = set()  # (rank, edge, edge) of each square corner, edges ascending
+    for (x, p, q, y), (xp, qy, xq, py) in zip(idx.squares, idx.sides):
+        for r, e, f in ((x, xp, xq), (p, xp, py), (q, xq, qy), (y, qy, py)):
+            key = (r, e, f) if e < f else (r, f, e)
+            if e == f:
+                problems.append(f"vertex {name[r]}: a square corner repeats an edge (link loop)")
+            elif key in pairs:
+                problems.append(
+                    f"vertex {name[r]}: two corners span the same link simplex (doubled)"
+                )
+            pairs.add(key)
+
+    for cell in idx.cells:
+        if len(set(cell)) == len(cell):
+            continue
+        for positions, flips in _upper_faces(len(cell).bit_length() - 1):
+            seen = set()  # (rank, germ) of each corner of the face
+            for m in positions:
+                germ = (cell[m], frozenset([cell[m ^ f] for f in flips]))
+                if germ in seen:
+                    problems.append(
+                        f"vertex {name[cell[m]]}: two corners span the same link simplex (doubled)"
+                    )
+                seen.add(germ)
+
     slot = []  # per rank: the other end of each incident edge -> its position
     for r, inc in enumerate(idx.incident):
         slot.append({a + b - r: i for i, (a, b) in enumerate(idx.edges[k] for k in inc)})
-
-    germs: list[list[int]] = [[] for _ in slot]
-    problems: list[str] = []
-    for ci, cube in enumerate(c.cubes):
-        rs = [rank[v] for v in cube.corners]
-        for i, r in enumerate(rs):
+    germs_at: list[set[int]] = [set() for _ in slot]
+    for cell in idx.cells:
+        d = len(cell).bit_length() - 1
+        for i, r in enumerate(cell):
             at, mask = slot[r], 0
-            for j in range(cube.dim):
-                mask |= 1 << at[rs[i ^ 1 << j]]
-            if mask.bit_count() != cube.dim:
-                problems.append(
-                    f"vertex {cube.corners[i]}: cube {ci} corner {i} repeats an edge (link loop)"
-                )
-            germs[r].append(mask)
+            for j in range(d):
+                mask |= 1 << at[cell[i ^ 1 << j]]
+            germs_at[r].add(mask)
 
-    for r, masks in enumerate(germs):
-        v = idx.vertices[r]
-        seen = set()
-        for mask in masks:
-            if mask.bit_count() >= 2:
-                if mask in seen:
-                    problems.append(
-                        f"vertex {v}: two corners span the same link simplex (doubled)"
-                    )
-                seen.add(mask)
-        for size in _empty_clique_sizes(masks, len(slot[r])):
-            problems.append(f"vertex {v}: empty {size}-clique in link (not flag)")
+    for r, germs in enumerate(germs_at):
+        nbrs = [0] * len(slot[r])  # link vertex -> the link vertices it is joined to
+        holding: list[list[int]] = [[] for _ in nbrs]  # link vertex -> germs holding it
+        for g in germs:
+            for u in _bits(g):
+                nbrs[u] |= g
+                holding[u].append(g)
+        sizes = set()
+        for g in germs:
+            reach = 0
+            for w in _bits(g):
+                reach |= nbrs[w]
+            for u in _bits(reach & ~g):
+                s = g & nbrs[u]
+                t = s | 1 << u
+                if s.bit_count() >= 2 and not any(t & h == t for h in holding[u]):
+                    sizes.add(s.bit_count() + 1)
+        for size in sorted(sizes):
+            problems.append(f"vertex {name[r]}: empty {size}-clique in link (not flag)")
 
     return NPCReport(not problems, tuple(dict.fromkeys(problems)))

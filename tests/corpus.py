@@ -11,7 +11,8 @@ bad run must exit 2; every other run exits 0, 1 or 2. The runs are:
 - the located bad inputs that ``test_fileformats.py`` pins, each under
   every subcommand that reads its kind;
 - the inputs in ``INPUTS`` and the usage and budget errors below, each of
-  which reaches a branch that nothing above does.
+  which reaches a branch that nothing above does;
+- ``special-check`` on each NPC probe of ``test_cli.py``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import shutil
 from pathlib import Path
 
 import m3cube
+from test_cli import NPC_PROBES
 from test_fileformats import (
     CC_RULE_CASES,
     COMPLEX_ERRORS,
@@ -138,6 +140,9 @@ def runs(workdir: Path) -> list[tuple[list[str], bool]]:
         ["homology", mixed, "--block", "H"],
         ["euler", str(catalog / "sfs_boundary.m3"), "--block", "M"],
     ]
+    for name, text, _tail in NPC_PROBES:
+        (workdir / name).write_text(text)
+        good.append(["special-check", str(workdir / name)])
     for i, (suffix, text) in enumerate(_pinned()):
         path = workdir / f"pinned_{i}{suffix}"
         path.write_text(text, encoding="utf-8")

@@ -194,6 +194,44 @@ def test_special_check_long_strip(capsys, tmp_path):
     assert out.count(": clean\n") == n + 1
 
 
+def cc_text(*cubes):
+    """A .cc file: each vertex in order of first use, then each cube."""
+    corners = [cube.split() for cube in cubes]
+    lines = [f"vertex {v}" for v in dict.fromkeys(v for cs in corners for v in cs)]
+    lines += [f"cube {len(cs).bit_length() - 1} " + " ".join(cs) for cs in corners]
+    return "\n".join(lines) + "\n"
+
+
+TWO_CUBES = ("v a b c1 v1 a1 b1 d1", "v a b c2 v2 a2 b2 d2")
+
+# (file name, text, last lines of special-check): each cell counts once,
+# however many records list it, whether or not its faces are listed
+NPC_PROBES = [
+    # the squares v a b c1 and v a b c2 share corner v and both its edges
+    ("two_cubes.cc", cc_text(*TWO_CUBES), "npc: no\n"),
+    ("two_cubes_squares.cc", cc_text(*TWO_CUBES, "v a b c1", "v a b c2"), "npc: no\n"),
+    ("square_twice.cc", cc_text("a b c d", "a b c d"), "special\nnpc: yes\n"),
+    # a symmetry of the cube fixes its corner map and swaps corners 0 and 7
+    ("symmetric_cube.cc", cc_text("x p q r r q p x"), "npc: no\n"),
+    # the listed square and the cube's face 101 102 111 112 share corner 101
+    # and both its edges
+    (
+        "square_on_cube.cc",
+        cc_text("101 102 201 202 111 112 211 212", "102 110 101 111"),
+        "npc: no\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("name,text,tail", NPC_PROBES, ids=[p[0] for p in NPC_PROBES])
+def test_special_check_counts_each_cell_once(capsys, tmp_path, name, text, tail):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "special-check", str(path))
+    assert err == ""
+    assert out.endswith("\n" + tail)
+
+
 def test_special_check_work_counts(capsys, catalog, monkeypatch, tmp_path):
     calls = Counter()
 

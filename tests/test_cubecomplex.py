@@ -505,6 +505,26 @@ def test_npc_boundary_of_6_cube_is_not_flag():
     assert all("empty 6-clique" in p for p in rep.problems)
 
 
+def test_npc_problems_name_their_vertex():
+    # a folded square meets edge ab twice at a, and its two corners at b
+    # span the same link edge
+    assert check_npc(from_squares(FOLDED_SQUARE)).problems == (
+        "vertex a: a square corner repeats an edge (link loop)",
+        "vertex b: two corners span the same link simplex (doubled)",
+        "vertex c: a square corner repeats an edge (link loop)",
+    )
+    # the symmetry m -> 7 - m fixes this cube's corner map, so each pair
+    # of opposite corners has one germ; no two of its squares share a
+    # corner and both its edges
+    symmetric = complex_from_cubes([(3, "x p q r r q p x".split())])
+    assert sorted(check_npc(symmetric).problems) == [
+        f"vertex {v}: two corners span the same link simplex (doubled)" for v in "pqrx"
+    ]
+    assert check_npc(from_squares(TRIPOD)).problems == (
+        "vertex o: empty 3-clique in link (not flag)",
+    )
+
+
 def random_grid_complex(rng):
     """A few subcubes of the grid {0,1,2}^n, n <= 4, with some vertices glued."""
     n = rng.randint(2, 4)
@@ -528,18 +548,53 @@ def random_grid_complex(rng):
     return complex_from_cubes([(k, [glue.get(v, v) for v in cs]) for k, cs in cubes])
 
 
+@functools.cache
+def cube_symmetries(k):
+    """The 2^k * k! symmetries of a k-cube, as position maps: a permutation
+    of the coordinates, then a flip of some of them."""
+    return [
+        tuple(flip ^ sum(1 << perm[j] for j in range(k) if i >> j & 1) for i in range(2 ** k))
+        for perm in itertools.permutations(range(k))
+        for flip in range(2 ** k)
+    ]
+
+
+def all_faces(corners):
+    """Every face of dimension >= 1 of a cube, its corners in binary-counter
+    order: choose the free coordinates, fix the others to a base."""
+    d = len(corners).bit_length() - 1
+    for k in range(1, d + 1):
+        for axes in itertools.combinations(range(d), k):
+            for base in range(2 ** d):
+                if not any(base >> j & 1 for j in axes):
+                    yield tuple(
+                        corners[base | sum(1 << a for b, a in enumerate(axes) if m >> b & 1)]
+                        for m in range(2 ** k)
+                    )
+
+
 def npc_oracle(c):
-    """No link loop, no doubled simplex, every maximal link clique in a germ."""
+    """Gromov's link condition by brute force over the distinct cells.
+
+    The cells are the faces of every listed cube, each named by the least
+    of its 2^k * k! readings. Every (cell, corner position) gives a germ:
+    no germ may meet one edge twice (a link loop), no two germs of size 2
+    or more at a vertex may be equal (a doubled simplex), and every maximal
+    clique of the link graph must lie in one germ (flag)."""
+    cells = {
+        min(tuple(f[i] for i in sym) for sym in cube_symmetries(len(f).bit_length() - 1))
+        for cube in c.cubes
+        for f in all_faces(cube.corners)
+    }
     germs = {}
-    for cube in c.cubes:
-        for idx, v in enumerate(cube.corners):
-            germs.setdefault(v, []).append(
-                [frozenset((v, cube.corners[idx ^ 1 << j])) for j in range(cube.dim)]
-            )
+    for f in cells:
+        for i, v in enumerate(f):
+            germ = [frozenset((v, f[i ^ 1 << j])) for j in range(len(f).bit_length() - 1)]
+            if len(set(germ)) < len(germ):
+                return False
+            germs.setdefault(v, []).append(frozenset(germ))
     for gs in germs.values():
-        if any(len(set(g)) < len(g) for g in gs):
-            return False
-        big = [frozenset(g) for g in gs if len(g) >= 2]
+        big = [g for g in gs if len(g) >= 2]
         if len(big) != len(set(big)):
             return False
         link = nx.Graph()
@@ -547,22 +602,42 @@ def npc_oracle(c):
             link.add_nodes_from(g)
             link.add_edges_from(itertools.combinations(g, 2))
         for clique in nx.find_cliques(link):
-            if not any(set(clique) <= set(g) for g in gs):
+            if not any(set(clique) <= g for g in gs):
                 return False
     return True
+
+
+def relisted(c, rng):
+    """The same cells listed another way: some records relisted under a
+    random symmetry, some repeated, some faces added, then all shuffled."""
+    cubes = []
+    for cube in c.cubes:
+        q = cube.corners
+        if rng.random() < 0.3:
+            q = tuple(q[i] for i in rng.choice(cube_symmetries(cube.dim)))
+        cubes.append(q)
+        if rng.random() < 0.2:
+            cubes.append(q)
+        if cube.dim >= 2 and rng.random() < 0.4:
+            cubes.append(rng.choice([f for f in all_faces(q) if len(f) < len(q)]))
+    rng.shuffle(cubes)
+    return complex_from_cubes([(len(q).bit_length() - 1, q) for q in cubes])
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_npc_matches_clique_oracle(seed):
     rng = random.Random(seed)
     verdicts = []
-    for _ in range(100):
-        c = random_grid_complex(rng)
+    for i in range(180):
+        c = random_grid_complex(rng) if i % 7 else random_quotient(rng.randrange(10 ** 6))
         if not validate_complex(c).ok:
             continue
-        npc = check_npc(c).npc
-        assert npc == npc_oracle(c), c
-        verdicts.append(npc)
+        want = npc_oracle(c)
+        assert check_npc(c).npc == want, c
+        other = relisted(c, rng)
+        assert npc_oracle(other) == want, other
+        assert check_npc(other).npc == want, other
+        verdicts.append(want)
     assert True in verdicts and False in verdicts
 
 

@@ -84,8 +84,11 @@ def oracle_index(c):
     incident = tuple(
         tuple(k for k, e in enumerate(edges) if r in e) for r in range(len(rank))
     )
+    listed = {tuple(rank[v] for v in cube.corners) for cube in c.cubes}
+    facets = {f for q in listed if len(q) >= 4 for f in faces(q, len(q).bit_length() - 2)}
+    cells = tuple(sorted(listed - facets))
     return ComplexIndex(
-        tuple(rank), tuple(edges), tuple(squares), tuple(sides), dart_class, plane, incident
+        tuple(rank), tuple(edges), tuple(squares), tuple(sides), dart_class, plane, incident, cells
     )
 
 
