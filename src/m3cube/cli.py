@@ -26,6 +26,7 @@ from .charge import classify_vcs, euler_number, is_chargeless_manifold, render_c
 from .cubecomplex import check_npc, dimension, specialness_report
 from .errors import BudgetExceededError, InputError, M3CubeError, ParseError
 from .fileformats import (
+    _split_lines,
     parse_complex,
     parse_manifold,
     parse_wallspace,
@@ -43,7 +44,7 @@ def _read(path: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
-        line = data[: e.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        line = len(_split_lines(data[: e.start].decode("utf-8")))
         raise ParseError("not UTF-8 text", line=line) from None
 
 

@@ -4,10 +4,10 @@ A complex is a vertex set plus explicit cubes; each cube is a corner map
 from {0,1}^d to vertices, listed in binary-counter order (bit j of the
 corner index is coordinate j). Edges and squares are implicit: they are
 the 1- and 2-faces of the listed cubes that are not a facet of another
-listed cube (compared corner for corner), enumerated from their
-coordinates; a listed facet adds no face its cube lacks. Identifications are
-expressed by corner maps hitting repeated vertices, so an edge is
-determined by its endpoint pair (no parallel 1-cells).
+listed cube (compared corner for corner); a listed facet adds no face its
+cube lacks. Every scan reads a cube's k-faces from one table, ``_faces``.
+Identifications are expressed by corner maps hitting repeated vertices, so
+an edge is determined by its endpoint pair (no parallel 1-cells).
 
 Constructors are permissive: ``validate_complex`` alone decides validity,
 and a complex's ``report`` holds its verdict, computed once on first use.
@@ -118,7 +118,7 @@ def validate_complex(c: CubeComplex) -> ValidationReport:
             bad = [f"unknown vertex {v}" for v in corners if v not in vs]
             bad += [
                 f"degenerate edge at vertex {corners[a]}"
-                for a, b in _edge_corners(d)
+                for a, b in _faces(d, 1)
                 if corners[a] == corners[b]
             ]
         for message in bad:
@@ -131,35 +131,18 @@ def dimension(c: CubeComplex) -> int:
 
 
 @cache
-def _edge_corners(d: int) -> tuple[tuple[int, int], ...]:
-    """Corner positions of a d-cube's 1-faces: (0-side, 1-side)."""
-    return tuple(
-        (base, base | 1 << j) for base in range(2 ** d) for j in range(d) if not base >> j & 1
-    )
-
-
-@cache
-def _square_corners(d: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Corner positions of a d-cube's 2-faces: (v00, v10, v01, v11), one per
-    coordinate pair and base."""
-    return tuple(
-        (base, base | 1 << i, base | 1 << j, base | 1 << i | 1 << j)
-        for i in range(d)
-        for j in range(i + 1, d)
-        for base in range(2 ** d)
-        if not base & (1 << i | 1 << j)
-    )
-
-
-@cache
-def _facets(d: int) -> tuple[itemgetter, ...]:
-    """Getters of a d-cube's facets (d >= 2), one per coordinate and side,
-    each reading its corners in binary-counter order."""
-    return tuple(
-        itemgetter(*(m for m in range(2 ** d) if m >> j & 1 == s))
-        for j in range(d)
-        for s in (0, 1)
-    )
+def _faces(d: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Corner positions of every k-face of a d-cube, base corner first, then
+    coordinates. A face lists its corners in binary-counter order over its own
+    coordinates, so corner t's neighbour along coordinate s is ``t ^ 1 << s``."""
+    faces = []
+    for base in range(2**d):
+        for axes in combinations([j for j in range(d) if not base >> j & 1], k):
+            corners = [base]
+            for j in axes:
+                corners += [m | 1 << j for m in corners]
+            faces.append(tuple(corners))
+    return tuple(faces)
 
 
 def _least_first(q) -> tuple:
@@ -177,8 +160,9 @@ def _build_index(c: CubeComplex) -> ComplexIndex:
     # of that one; by induction on dimension the rest hold every face. The
     # set keeps the listed corner tuples, not the facets read to find them.
     listed = {cube.corners: cube.corners for cube in c.cubes}
+    getters = {d: [itemgetter(*f) for f in _faces(d, d - 1)] for d in range(2, dimension(c) + 1)}
     facets = {
-        listed.get(f(cube.corners)) for cube in c.cubes if cube.dim > 1 for f in _facets(cube.dim)
+        listed.get(f(cube.corners)) for cube in c.cubes if cube.dim > 1 for f in getters[cube.dim]
     }
     cells = tuple(
         sorted({itemgetter(*corners)(rank) for corners in listed if corners not in facets})
@@ -186,10 +170,10 @@ def _build_index(c: CubeComplex) -> ComplexIndex:
     edge_set, square_set = set(), set()
     for rs in cells:
         d = len(rs).bit_length() - 1
-        for a, b in _edge_corners(d):
+        for a, b in _faces(d, 1):
             a, b = rs[a], rs[b]
             edge_set.add((a, b) if a < b else (b, a))
-        for q in _square_corners(d):
+        for q in _faces(d, 2):
             square_set.add(_least_first([rs[i] for i in q]))
     edges = tuple(sorted(edge_set))
     squares = tuple(sorted(square_set))
@@ -369,17 +353,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _upper_faces(d: int):
-    """Each face of dimension 3 or more of a d-cube: its corner positions and
-    the position bits of its coordinates."""
-    for k in range(3, d + 1):
-        for axes in combinations(range(d), k):
-            flips = [1 << j for j in axes]
-            free = sum(flips)
-            subs = [m for m in range(2**d) if not m & ~free]
-            for base in range(2**d):
-                if not base & free:
-                    yield [base | m for m in subs], flips
+_DOUBLED = "two corners span the same link simplex (doubled)"
 
 
 def check_npc(c: CubeComplex) -> NPCReport:
@@ -417,23 +391,21 @@ def check_npc(c: CubeComplex) -> NPCReport:
             if e == f:
                 problems.append(f"vertex {name[r]}: a square corner repeats an edge (link loop)")
             elif key in pairs:
-                problems.append(
-                    f"vertex {name[r]}: two corners span the same link simplex (doubled)"
-                )
+                problems.append(f"vertex {name[r]}: {_DOUBLED}")
             pairs.add(key)
 
     for cell in idx.cells:
         if len(set(cell)) == len(cell):
             continue
-        for positions, flips in _upper_faces(len(cell).bit_length() - 1):
-            seen = set()  # (rank, germ) of each corner of the face
-            for m in positions:
-                germ = (cell[m], frozenset([cell[m ^ f] for f in flips]))
-                if germ in seen:
-                    problems.append(
-                        f"vertex {name[cell[m]]}: two corners span the same link simplex (doubled)"
-                    )
-                seen.add(germ)
+        d = len(cell).bit_length() - 1
+        for k in range(3, d + 1):
+            for face in _faces(d, k):
+                seen = set()  # (rank, germ) of each corner of the face
+                for t, m in enumerate(face):
+                    germ = (cell[m], frozenset([cell[face[t ^ 1 << s]] for s in range(k)]))
+                    if germ in seen:
+                        problems.append(f"vertex {name[cell[m]]}: {_DOUBLED}")
+                    seen.add(germ)
 
     slot = []  # per rank: the other end of each incident edge -> its position
     for r, inc in enumerate(idx.incident):

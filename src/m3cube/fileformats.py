@@ -15,7 +15,8 @@ block id declared twice, a second geometry or chambers record.
 decide every other rule, and the problem in the earliest record is
 reported at the line and column of that record or field; problems of no
 one record (an unglued end, a disconnected graph) are reported against
-the last line.
+the last line with a token. The parsers keep no positions: they are found
+by one re-scan of the text, and only when a report fails.
 
 .ws and .cc serialization is deterministic, one record per line, and
 serialize(parse(text)) reparses to an equal value.
@@ -32,6 +33,7 @@ from .manifold import (
     GluingMatrix,
     HyperbolicBlockData,
     ManifoldGraph,
+    Problem,
     SeifertBlockData,
     TorusEdge,
     TorusEnd,
@@ -81,12 +83,36 @@ def _located(parse, text: str):
         raise ParseError(message, line, column) from None
 
 
-def _raise_first(report: ValidationReport, where: dict, last_line: int) -> None:
-    """Fail at the earliest located problem of a failed report; problems
-    ``where`` cannot locate are joined and reported at the last line.
-    ``where`` maps a ``Problem.where`` to (line, token index)."""
+_FIELDS = {  # record kind -> its fields, at tokens 1, 2, ... of its line
+    "torus": ("id", "a", "b", "glue"),
+    "wall": ("id", "U", "V"),
+    "boundary": ("end",),
+    "geometry": ("label",),
+}
+
+
+def _raise_first(report: ValidationReport, text: str) -> None:
+    """Fail at the earliest located problem of a failed report; problems of
+    no one record are joined and reported at the last line with a token.
+    Positions are found only here, by one re-scan of ``text``: the i-th
+    record of a kind is entry i of its model's tuple, a block is named by its
+    id, and a record points at its token 0 (a vertex or chambers record at
+    token 1) and a field at its token in ``_FIELDS``."""
     if report.ok:
         return
+    where: dict[tuple, tuple[int, int]] = {}  # Problem.where -> (line, token index)
+    count: dict[str, int] = {}
+    last_line = 1
+    for last_line, tokens in _lines(text):
+        kind = tokens[0]
+        count[kind] = i = count.get(kind, -1) + 1
+        if kind == "block":
+            key = (kind, tokens[1])
+        else:
+            key = (kind,) if kind in ("geometry", "chambers") else (kind, i)
+        where[key] = (last_line, int(kind in ("vertex", "chambers")))
+        for token, field in enumerate(_FIELDS.get(kind, ()), start=1):
+            where[key + (field,)] = (last_line, token)
     located = [(where[p.where], p.message) for p in report.violations if p.where in where]
     if located:
         (line, token), message = min(located, key=lambda pair: pair[0])
@@ -104,7 +130,7 @@ def _int(tok: str, line: int, token: int, offset: int = 0) -> int:
 _PAIR_RE = re.compile(r"\((-?\d+),(-?\d+)\)")
 
 
-def _pairs(value: str, line: int, token: int, offset: int) -> list[tuple[int, int]]:
+def _pairs(value: str, line: int, token: int, offset: int) -> tuple[tuple[int, int], ...]:
     """Parse a run of (a,b)(c,d)... with no separators."""
     out = []
     pos = 0
@@ -114,7 +140,7 @@ def _pairs(value: str, line: int, token: int, offset: int) -> list[tuple[int, in
             _fail(f"expected (p,q) pairs, got {value[pos:]!r}", line, token, offset + pos)
         out.append(tuple(_int(g, line, token, offset + pos) for g in m.groups()))
         pos = m.end()
-    return out
+    return tuple(out)
 
 
 def _end(tok: str, line: int, token: int) -> TorusEnd:
@@ -133,26 +159,16 @@ def _parse_manifold(text: str) -> ManifoldGraph:
     tori: list[TorusEdge] = []
     boundary: list[TorusEnd] = []
     geometry = None
-    where: dict[tuple, tuple[int, int]] = {}  # Problem.where -> (line, token index)
-    last_line = 1
 
     for lineno, tokens in _lines(text):
-        last_line = lineno
         kind = tokens[0]
 
         if kind == "block":
             if len(tokens) < 3:
                 _fail("block needs an id and a kind", lineno, 0)
-            block_id, bkind = tokens[1], tokens[2]
-            if block_id in blocks:
-                _fail(f"block {block_id!r} redeclared", lineno, 1)
-            where[("block", block_id)] = (lineno, 0)
-            if bkind == "seifert":
-                blocks[block_id] = _parse_seifert(tokens, lineno)
-            elif bkind == "hyperbolic":
-                blocks[block_id] = _parse_hyperbolic(tokens, lineno)
-            else:
-                _fail(f"unknown block kind {bkind!r}", lineno, 2)
+            if tokens[1] in blocks:
+                _fail(f"block {tokens[1]!r} redeclared", lineno, 1)
+            blocks[tokens[1]] = _block(tokens, lineno)
 
         elif kind == "torus":
             if len(tokens) != 5:
@@ -166,14 +182,11 @@ def _parse_manifold(text: str) -> ManifoldGraph:
             if len(parts) != 4:
                 _fail("glue needs four entries", lineno, 4)
             a, b, c, d = (_int(p, lineno, 4) for p in parts)
-            for token, field in enumerate(("id", "a", "b", "glue"), start=1):
-                where[("torus", len(tori), field)] = (lineno, token)
             tori.append(TorusEdge(tid, end_a, end_b, GluingMatrix(a, b, c, d)))
 
         elif kind == "boundary":
             if len(tokens) != 2:
                 _fail("boundary needs one <block>.<index>", lineno, 0)
-            where[("boundary", len(boundary), "end")] = (lineno, 1)
             boundary.append(_end(tokens[1], lineno, 1))
 
         elif kind == "geometry":
@@ -181,52 +194,47 @@ def _parse_manifold(text: str) -> ManifoldGraph:
                 _fail("geometry needs one label", lineno, 0)
             if geometry is not None:
                 _fail("geometry redeclared", lineno, 1)
-            where[("geometry",)] = (lineno, 0)
-            where[("geometry", "label")] = (lineno, 1)
             geometry = tokens[1]
 
         else:
             _fail(f"unknown record {kind!r}", lineno, 0)
 
     m = ManifoldGraph(blocks, tuple(tori), tuple(boundary), geometry)
-    _raise_first(validate(m), where, last_line)
+    _raise_first(validate(m), text)
     return m
 
 
-def _parse_seifert(tokens, lineno) -> SeifertBlockData:
-    """The fields of a ``block <id> seifert`` line, from token 3 on."""
-    genus = boundaries = None
-    exceptional: tuple = ()
-    obstruction = 0
-    for i in range(3, len(tokens)):
-        tok = tokens[i]
-        if tok.startswith("genus="):
-            genus = _int(tok[6:], lineno, i, 6)
-        elif tok.startswith("boundaries="):
-            boundaries = _int(tok[11:], lineno, i, 11)
-        elif tok.startswith("exceptional="):
-            exceptional = tuple(_pairs(tok[12:], lineno, i, 12))
-        elif tok.startswith("b="):
-            obstruction = _int(tok[2:], lineno, i, 2)
-        else:
-            _fail(f"unknown seifert field {tok!r}", lineno, i)
-    if genus is None or boundaries is None:
-        _fail("seifert block needs genus= and boundaries=", lineno)
-    return SeifertBlockData(genus, boundaries, exceptional, obstruction)
+# block kind -> (a reader per field, the fields it needs, the block from its fields)
+_BLOCKS = {
+    "seifert": (
+        {"genus": _int, "boundaries": _int, "exceptional": _pairs, "b": _int},
+        ("genus", "boundaries"),
+        lambda f: SeifertBlockData(
+            f["genus"], f["boundaries"], f.get("exceptional", ()), f.get("b", 0)
+        ),
+    ),
+    "hyperbolic": (
+        {"boundaries": _int}, ("boundaries",), lambda f: HyperbolicBlockData(f["boundaries"])
+    ),
+}
 
 
-def _parse_hyperbolic(tokens, lineno) -> HyperbolicBlockData:
-    """The fields of a ``block <id> hyperbolic`` line, from token 3 on."""
-    boundaries = None
+def _block(tokens: list[str], lineno: int) -> SeifertBlockData | HyperbolicBlockData:
+    """The block of a ``block <id> <kind> <field>=<value> ...`` line; when a
+    field repeats, its last value wins."""
+    kind = tokens[2]
+    if kind not in _BLOCKS:
+        _fail(f"unknown block kind {kind!r}", lineno, 2)
+    readers, needs, build = _BLOCKS[kind]
+    fields = {}
     for i in range(3, len(tokens)):
-        tok = tokens[i]
-        if tok.startswith("boundaries="):
-            boundaries = _int(tok[11:], lineno, i, 11)
-        else:
-            _fail(f"unknown hyperbolic field {tok!r}", lineno, i)
-    if boundaries is None:
-        _fail("hyperbolic block needs boundaries=", lineno)
-    return HyperbolicBlockData(boundaries)
+        key, eq, value = tokens[i].partition("=")
+        if not eq or key not in readers:
+            _fail(f"unknown {kind} field {tokens[i]!r}", lineno, i)
+        fields[key] = readers[key](value, lineno, i, len(key) + 1)
+    if not all(key in fields for key in needs):
+        _fail(f"{kind} block needs " + " and ".join(key + "=" for key in needs), lineno)
+    return build(fields)
 
 
 def parse_wallspace(text: str) -> Wallspace:
@@ -236,8 +244,6 @@ def parse_wallspace(text: str) -> Wallspace:
 def _parse_wallspace(text: str) -> Wallspace:
     n = None
     walls: list[Wall] = []
-    where: dict[tuple, tuple[int, int]] = {}  # Problem.where -> (line, token index)
-    last_line = 1
 
     def idx_list(value: str, line: int, token: int) -> frozenset:
         if value == "":
@@ -245,7 +251,6 @@ def _parse_wallspace(text: str) -> Wallspace:
         return frozenset(_int(part, line, token) for part in value.split(","))
 
     for lineno, tokens in _lines(text):
-        last_line = lineno
         kind = tokens[0]
         if kind == "chambers":
             if n is not None:
@@ -253,7 +258,6 @@ def _parse_wallspace(text: str) -> Wallspace:
             if len(tokens) != 2:
                 _fail("chambers needs a count", lineno, 0)
             n = _int(tokens[1], lineno, 1)
-            where[("chambers",)] = (lineno, 1)
         elif kind == "wall":
             if len(tokens) != 4:
                 _fail("wall needs: <id> U=<list> V=<list>", lineno, 0)
@@ -262,17 +266,14 @@ def _parse_wallspace(text: str) -> Wallspace:
                 _fail("expected U=<idx list>", lineno, 2)
             if not vtok.startswith("V="):
                 _fail("expected V=<idx list>", lineno, 3)
-            where[("wall", len(walls))] = (lineno, 0)
-            for token, field in enumerate(("id", "U", "V"), start=1):
-                where[("wall", len(walls), field)] = (lineno, token)
             walls.append(Wall(wid, idx_list(utok[2:], lineno, 2), idx_list(vtok[2:], lineno, 3)))
         else:
             _fail(f"unknown record {kind!r}", lineno, 0)
 
     if n is None:
-        _fail("missing chambers record", last_line)
+        _raise_first(ValidationReport((Problem((), None, "missing chambers record"),)), text)
     ws = Wallspace(tuple(range(n)), tuple(walls))
-    _raise_first(ws.report, where, last_line)
+    _raise_first(ws.report, text)
     return ws
 
 
@@ -293,26 +294,20 @@ def parse_complex(text: str) -> CubeComplex:
 def _parse_complex(text: str) -> CubeComplex:
     vertices: list[str] = []
     cubes: list[Cube] = []
-    where: dict[tuple, tuple[int, int]] = {}  # Problem.where -> (line, token index)
-    last_line = 1
     for lineno, tokens in _lines(text):
-        last_line = lineno
         kind = tokens[0]
         if kind == "vertex":
             if len(tokens) != 2:
                 _fail("vertex needs one id", lineno, 0)
-            where[("vertex", len(vertices))] = (lineno, 1)
             vertices.append(tokens[1])
         elif kind == "cube":
             if len(tokens) < 2:
                 _fail("cube needs a dimension", lineno, 0)
-            d = _int(tokens[1], lineno, 1)
-            where[("cube", len(cubes))] = (lineno, 0)
-            cubes.append(Cube(d, tuple(tokens[2:])))
+            cubes.append(Cube(_int(tokens[1], lineno, 1), tuple(tokens[2:])))
         else:
             _fail(f"unknown record {kind!r}", lineno, 0)
     c = CubeComplex(tuple(vertices), tuple(cubes))
-    _raise_first(c.report, where, last_line)
+    _raise_first(c.report, text)
     return c
 
 

@@ -240,7 +240,8 @@ class Problem:
     ``("geometry", "label")``, and ``()`` for whole-graph problems;
     ``validate_wallspace`` uses ``("chambers",)``, ``("wall", i)`` and
     ``("wall", i, f)`` for f in id, U, V; ``validate_complex`` uses
-    ``("vertex", j)`` and ``("cube", i)``.
+    ``("vertex", j)`` and ``("cube", i)``, i being the record's place in its
+    tuple. Only a failed report is located, by one re-scan of the text.
     """
 
     where: tuple

@@ -12,6 +12,7 @@ import pytest
 from m3cube.cubecomplex import (
     Cube,
     CubeComplex,
+    _faces,
     check_npc,
     derived_edges,
     derived_squares,
@@ -120,6 +121,28 @@ def test_validate_complex():
     assert any("'a' redeclared" in p for p in validate_complex(dup).problems)
     ok = CubeComplex(("a", "b"), (Cube(1, ("a", "b")),))
     assert validate_complex(ok).ok
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_faces_are_every_subcube_in_binary_counter_order(d):
+    for k in range(d + 1):
+        faces = _faces(d, k)
+        # brute force: the corners m with m & ~free == base, per free set of k bits
+        subcubes = {
+            frozenset(m for m in range(2**d) if m & ~free == base)
+            for free in range(2**d)
+            if free.bit_count() == k
+            for base in range(2**d)
+            if not base & free
+        }
+        assert len(faces) == len(subcubes) == comb(d, k) * 2 ** (d - k)
+        assert {frozenset(f) for f in faces} == subcubes
+        assert [f[0] for f in faces] == sorted(f[0] for f in faces)
+        for f in faces:
+            axes = [f[1 << s] ^ f[0] for s in range(k)]
+            assert axes == sorted(axes) and all(a.bit_count() == 1 for a in axes)
+            for t in range(2**k):
+                assert f[t] == f[0] | sum(a for s, a in enumerate(axes) if t >> s & 1)
 
 
 def test_complex_from_cubes_collects_vertices():

@@ -1,6 +1,7 @@
 """Text formats: parsing, serialization, and error positions."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -350,6 +351,8 @@ WALLSPACE_ERRORS = [
     ("chambers 2\nroom 1\n", "unknown record 'room'", 2),
     ("chambers 2\nwall w U=0\n", "wall needs", 2),
     ("chambers 2\nwall w U=0 W=1\n", "expected V=", 2),
+    # reported at the last line that has a token, not the last line
+    ("wall w U=0 V=1\n\n# end\n", "missing chambers record", 1),
 ]
 
 
@@ -524,6 +527,13 @@ COMPLEX_ERRORS = [
     ("simplex 1 a b\n", "unknown record", 1),
     ("vertex a b\n", "vertex needs one id", 1),
     ("vertex a\ncube\n", "cube needs a dimension", 2),
+    # two degenerate edges, x-x and y-y: a cube's edges are scanned base
+    # corner first, so x-x (base 0) is reported before y-y (base 4)
+    (
+        "vertex x\nvertex p\nvertex q\nvertex y\nvertex r\nvertex s\ncube 3 x p x q y y r s\n",
+        "line 7, column 1: degenerate edge at vertex x",
+        7,
+    ),
 ]
 
 
@@ -576,6 +586,16 @@ def test_complex_rule_violation_positions(text, c, message, line, column):
     e = err(parse_complex, text)
     assert str(e) == f"line {line}, column {column}: {message}"
     assert [p.message for p in validate_complex(c).violations] == [message]
+
+
+def test_many_problems_locate_the_first_at_once():
+    # 20,000 cubes that each break a rule: positions are found by one
+    # re-scan of the text per failed parse, not one per problem
+    text = "vertex a\n" + "  cube 1 a z\n" * 20000
+    t0 = time.perf_counter()
+    e = err(parse_complex, text)
+    assert time.perf_counter() - t0 < 1
+    assert str(e) == "line 2, column 3: unknown vertex z"
 
 
 def test_catalog_positive_files_parse(catalog):
