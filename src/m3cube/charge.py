@@ -12,14 +12,15 @@ Matching coefficients generator by generator decides the question in
 closed form. End i, on its own boundary index k, sees the transported
 neighbor fiber (p_i, q_i), whose class is p_i*d_k + q_i*h. Exceptional
 fiber (a_j, b_j) gives the relation a_j*q_j + b_j*h, and the section gives
-sum(q_j) + sum(d_k), with coefficients x_j and s. Generator q_j reads
+sum(q_j) + sum(d_k) - b*h, with coefficients x_j and s. Generator q_j reads
 a_j*x_j + s = 0, generator d_k reads p_i*w_i + s = 0, and h reads
-sum(q_i*w_i) + sum(b_j*x_j) = 0; the surface generators are in no relation
-and no class. Hence:
+sum(q_i*w_i) + sum(b_j*x_j) - b*s = 0; the surface generators are in no
+relation and no class. Hence, for n ends (a closed block has n = 0 and no
+weight to make nonzero, so it passes either way):
 
 - every p_i != 0: the solutions are the multiples of w_i = L/p_i,
   x_j = L/a_j, s = -L with L = lcm(a_j, p_i), and they exist exactly when
-  the relative Euler number sum(b_j/a_j) + sum(q_i/p_i) is 0;
+  the relative Euler number b + sum(b_j/a_j) + sum(q_i/p_i) is 0;
 - some p_i = 0 (the fibers match; the slope is then (0,1)): s = 0 forces
   every x_j and every weight with p_i != 0 to 0, and h leaves the sum of
   the p = 0 weights equal to 0, so all-nonzero weights exist exactly when
@@ -112,15 +113,15 @@ def is_chargeless_block(m: ManifoldGraph, block_id: str) -> ChargeVerdict:
     The solution lattice comes from the closed form in the module
     docstring, in rows (w, x): one row (L/p_i, ..., L/a_j, ..., -L) when
     every p_i != 0 and the relative Euler number is 0, none when it is not,
-    and rows e_i - e_last over the p = 0 ends (x = 0) when some p_i = 0. A
-    block with no ends is chargeless vacuously, with witness (). The
-    witness is the sum of the rows, and sum(w_i * z_i) + R*x is checked to
-    be 0 by integer multiplication against the block's presentation; each
-    z_i = p_i*d_k + q_i*h adds into two entries of R*x. When
-    no witness exists, ``obstruction_index`` is the first end whose weight
-    is zero on every row. ``euler_diagnostic`` is the negated relative
-    Euler number when no p_i is 0, and the block's own Euler number when it
-    has no ends.
+    and rows e_i - e_last over the p = 0 ends (x = 0) when some p_i = 0.
+    The witness is the sum of the rows, and sum(w_i * z_i) + R*x is checked
+    to be 0 by integer multiplication against the block's presentation;
+    each z_i = p_i*d_k + q_i*h adds into two entries of R*x. A closed block
+    is the case n = 0: its witness is (), and its row, when e = 0, is
+    checked like any other. When no witness exists, ``obstruction_index``
+    is the first end whose weight is zero on every row.
+    ``euler_diagnostic`` is the negated relative Euler number when no p_i
+    is 0, which for a closed block is its Euler number, and None otherwise.
     """
     if block_id not in m.blocks:
         raise InputError(f"unknown block {block_id}")
@@ -138,18 +139,14 @@ def is_chargeless_block(m: ManifoldGraph, block_id: str) -> ChargeVerdict:
     matched = [i for i, e in enumerate(ends) if e.slope.p == 0]
     rows: tuple[tuple[int, ...], ...] = ()
     diagnostic = None
-    if not ends:
-        diagnostic = euler_number(data)
-    elif matched:
+    if matched:
         zeros = (0,) * (len(fibers) + 1)
         rows = tuple(
             tuple(int(j == i) - int(j == matched[-1]) for j in range(n)) + zeros
             for i in matched[:-1]
         )
     else:
-        relative = sum(Fraction(b, a) for a, b in fibers) + sum(
-            Fraction(e.slope.q, e.slope.p) for e in ends
-        )
+        relative = _euler_sum(data) + sum(Fraction(e.slope.q, e.slope.p) for e in ends)
         diagnostic = -relative
         if relative == 0:
             lcm = math.lcm(*(a for a, _ in fibers), *(e.slope.p for e in ends))
@@ -199,7 +196,7 @@ def fill_along_slopes(b: SeifertBlockData, slopes: Sequence[Slope]) -> SeifertBl
     Filling along the fiber itself (p = 0) destroys the fibration and is
     refused. The trivial filling (1, 0) adds nothing and is dropped; other
     multiplicity-one fillings (1, q) are kept since they shift the Euler
-    number.
+    number, and so is the section obstruction b.
     """
     if len(slopes) != b.num_boundary:
         raise InputError(f"{b.num_boundary} boundary tori but {len(slopes)} filling slopes")
@@ -213,18 +210,21 @@ def fill_along_slopes(b: SeifertBlockData, slopes: Sequence[Slope]) -> SeifertBl
         genus=b.genus,
         num_boundary=0,
         exceptional=b.exceptional + tuple(extra),
-        section_obstruction=0,
+        section_obstruction=b.section_obstruction,
     )
+
+
+def _euler_sum(b: SeifertBlockData) -> Fraction:
+    """b + sum(b_j / a_j), exact: the block's own share of a relative Euler
+    number."""
+    return sum((Fraction(bb, a) for a, bb in b.exceptional), Fraction(b.section_obstruction))
 
 
 def euler_number(b: SeifertBlockData) -> Fraction:
     """e = -(section obstruction + sum of b_j / a_j), exact."""
     if b.num_boundary != 0:
         raise InputError("Euler number needs a closed Seifert block")
-    total = Fraction(b.section_obstruction)
-    for a, bb in b.exceptional:
-        total += Fraction(bb, a)
-    return -total
+    return -_euler_sum(b)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .manifold import (
     SeifertBlockData,
     TorusEdge,
     TorusEnd,
+    reachable,
 )
 
 
@@ -141,15 +142,7 @@ def _check_tree(tree: Tree) -> dict:
     if len(tree.edges) != len(vs) - 1:
         raise InputError(f"{len(vs)} vertices need {len(vs) - 1} edges, found {len(tree.edges)}")
     adj = tree.adjacency()
-    reached = set()
-    stack = [tree.vertices[0]]
-    while stack:
-        v = stack.pop()
-        if v in reached:
-            continue
-        reached.add(v)
-        stack.extend(adj[v] - reached)
-    if reached != vs:
+    if reachable(tree.vertices[0], adj.__getitem__) != vs:
         raise InputError("graph is disconnected")
     return adj
 
@@ -172,15 +165,7 @@ def helly_intersection(
             raise InputError(f"subtree {idx} is empty")
         if not s <= vs:
             raise InputError(f"subtree {idx} uses unknown vertices")
-        reached = set()
-        stack = [next(iter(s))]
-        while stack:
-            v = stack.pop()
-            if v in reached:
-                continue
-            reached.add(v)
-            stack.extend((adj[v] & s) - reached)
-        if reached != s:
+        if reachable(next(iter(s)), lambda v: adj[v] & s) != s:
             raise InputError(f"subtree {idx} is not connected")
 
     for i in range(len(sets)):

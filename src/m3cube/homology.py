@@ -59,10 +59,8 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
 
     Pivot choice is the entry of smallest nonzero absolute value in the
     remaining block, ties broken by lowest row and then lowest column, which
-    makes the transforms deterministic. The search stops at the first unit
-    entry, and a unit pivot skips the divisibility sweep; neither changes
-    the transforms. Diagonal entries come out non-negative and each divides
-    the next.
+    makes the transforms deterministic. Diagonal entries come out
+    non-negative and each divides the next.
     """
     m, n = A.nrows, A.ncols
     work = [list(r) for r in A.rows]
@@ -102,10 +100,6 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
                 v = abs(work[i][j])
                 if v and (best == 0 or v < best):
                     best, bi, bj = v, i, j
-                    if v == 1:
-                        break  # nothing later can win the strict comparison
-            if best == 1:
-                break
         if best == 0:
             break
         if bi != t:
@@ -134,13 +128,9 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
                 if left:
                     col_swap(t, min(left, key=lambda j: (work[t][j], j)))
                 continue
-            if p == 1:
-                break  # a unit divides everything: no sweep needed
-            bad = None
-            for i in range(t + 1, m):
-                if any(work[i][j] % p for j in range(t + 1, n)):
-                    bad = i
-                    break
+            bad = next(
+                (i for i in range(t + 1, m) if any(work[i][j] % p for j in range(t + 1, n))), None
+            )
             if bad is None:
                 break
             # fold the offending row into the pivot row and keep reducing
@@ -205,7 +195,7 @@ def presentation_h1(b: SeifertBlockData) -> AbelianPresentation:
 
     Each exceptional fiber (a_j, b_j) gives the relation a_j q_j + b_j h = 0;
     the section gives q_1 + ... + q_m + d_1 + ... + d_p - b h = 0 where b is
-    the section obstruction for a closed block and 0 otherwise. This sign
+    the section obstruction, whether or not the block is closed. This sign
     matches e = -(b + sum b_j/a_j): a closed genus-0 block with e != 0 has
     finite H1 of order a_1 * ... * a_m * |e|.
     """
@@ -215,7 +205,7 @@ def presentation_h1(b: SeifertBlockData) -> AbelianPresentation:
         for i, (a, _) in enumerate(b.exceptional)
     ]
     rows += [[0] * mexc + [1] for _ in range(p)]
-    rows.append([bb for _, bb in b.exceptional] + [-b.section_obstruction if p == 0 else 0])
+    rows.append([bb for _, bb in b.exceptional] + [-b.section_obstruction])
     return AbelianPresentation(IntMatrix.from_rows(rows), b.genus, mexc, p)
 
 

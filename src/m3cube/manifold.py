@@ -289,6 +289,18 @@ def _block_problems(block_id: str, data: BlockData) -> list[Problem]:
     return out
 
 
+def reachable(start, step) -> set:
+    """``start`` and every node reached from it, ``step(v)`` being the
+    neighbors of v."""
+    reached = {start}
+    stack = [start]
+    while stack:
+        new = set(step(stack.pop())) - reached
+        reached |= new
+        stack += new
+    return reached
+
+
 def validate(m: ManifoldGraph) -> ValidationReport:
     """Check every structural invariant; the report lists all violations.
 
@@ -361,16 +373,7 @@ def validate(m: ManifoldGraph) -> ValidationReport:
     if not m.blocks:
         add((), None, "manifold needs at least one block")
     elif len(m.blocks) > 1:
-        reached = set()
-        ids = m.block_ids()
-        stack = [ids[0]]
-        while stack:
-            v = stack.pop()
-            if v in reached:
-                continue
-            reached.add(v)
-            stack.extend(n for n in m.neighbors(v) if n not in reached)
-        missing = [b for b in ids if b not in reached]
+        missing = sorted(m.blocks.keys() - reachable(min(m.blocks), m.neighbors))
         if missing:
             add((), None, f"graph not connected: unreachable blocks {', '.join(missing)}")
 

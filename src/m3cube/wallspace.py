@@ -2,7 +2,8 @@
 
 A wallspace is a finite chamber set with walls; each wall is an ordered
 pair of half-spaces (U, V) covering the chambers. The halves may overlap,
-but neither may contain the other: such a wall separates nothing.
+but neither may contain the other: such a wall separates nothing. Nor may
+two walls have the same halves: the halfspaces of a pocset are distinct.
 ``validate_wallspace`` alone decides validity, and a wallspace's
 ``report`` holds its verdict, computed once on first use.
 
@@ -55,7 +56,8 @@ class Wallspace:
 
 def validate_wallspace(ws: Wallspace) -> ValidationReport:
     """Every violation, located at ``("chambers",)``, ``("wall", i)`` or a
-    wall's field ``("wall", i, "id"|"U"|"V")``."""
+    wall's field ``("wall", i, "id"|"U"|"V")``. Repeated halves are
+    reported at the later wall."""
     problems: list[Problem] = []
     chambers = set(ws.chambers)
     if len(chambers) != len(ws.chambers):
@@ -63,6 +65,7 @@ def validate_wallspace(ws: Wallspace) -> ValidationReport:
     if not chambers:
         problems.append(Problem(("chambers",), None, "need at least one chamber"))
     ids = set()
+    first_with: dict[frozenset, int] = {}  # a pair of halves -> its first wall
     for i, w in enumerate(ws.walls):
 
         def add(message: str, *field: str) -> None:
@@ -83,6 +86,9 @@ def validate_wallspace(ws: Wallspace) -> ValidationReport:
             add("empty half", "U" if not w.half_u else "V")
         elif w.half_u <= w.half_v or w.half_v <= w.half_u:
             add("one half contains the other")
+        first = first_with.setdefault(frozenset(w.sides()), i)
+        if first != i:
+            add(f"same halves as wall {ws.walls[first].wall_id}")
     return ValidationReport(tuple(problems))
 
 

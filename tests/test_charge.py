@@ -296,12 +296,13 @@ def _my_slopes(tori):
     return slopes
 
 
-def _random_hub(rng):
+def _random_hub(rng, b=0):
     """Hub C with 1-7 ends; some ends glued to each other, the rest to N<i>.
 
     Generic gluings make C charged almost always, so most hubs use matched
     fibers (fiber-preserving shears) on all or some ends, or get exceptional
-    fibers that cancel the relative Euler number of their slopes.
+    fibers that cancel the relative Euler number of their slopes. ``b`` is
+    C's section obstruction, which ``validate`` refuses on a bounded block.
     """
     k = rng.randint(1, 7)
     style = rng.choice(("generic", "matched", "mixed", "resonant", "resonant"))
@@ -327,71 +328,118 @@ def _random_hub(rng):
     fibers = [_coprime_fiber(rng) for _ in range(rng.randint(0, 2))]
     slopes = _my_slopes(tori)
     if style == "resonant" and all(p for p, _ in slopes.values()):
-        total = sum(Fraction(b, a) for a, b in fibers) + sum(
-            Fraction(q, p) for p, q in slopes.values()
-        )
-        r, s = total.numerator, total.denominator
-        if s > 1:
-            fibers.append((s, -r))
-        elif r:
-            fibers += [(2, 1), (2, -1 - 2 * r)]
-    blocks["C"] = SeifertBlockData(rng.randint(0, 1), k, tuple(fibers))
+        fibers += _cancelling(b, fibers, slopes.values())
+    blocks["C"] = SeifertBlockData(rng.randint(0, 1), k, tuple(fibers), b)
     return ManifoldGraph(blocks, tuple(tori)), slopes
 
 
+def _cancelling(b, fibers, slopes):
+    """Exceptional fibers that bring b + sum(b_j/a_j) + sum(q/p) to 0."""
+    total = b + sum(Fraction(bb, a) for a, bb in fibers) + sum(
+        Fraction(q, p) for p, q in slopes
+    )
+    r, s = total.numerator, total.denominator
+    if s > 1:
+        return [(s, -r)]
+    return [(2, 1), (2, -1 - 2 * r)] if r else []
+
+
+def _check_with_sympy(v, block, slopes):
+    """Expected values from sympy ranks of [Z | R], with Z and R built here
+    over q_1..q_m, d_1..d_k, h (genus generators are in no relation and no
+    class, so they are left out); R's section column carries -b at h."""
+    k, fibers = len(slopes), block.exceptional
+    assert {e.boundary_index: (e.slope.p, e.slope.q) for e in v.ends} == slopes
+
+    size = len(fibers) + k + 1
+    Z = sympy.zeros(size, k)
+    for i, e in enumerate(v.ends):
+        p, q = slopes[e.boundary_index]
+        Z[len(fibers) + e.boundary_index, i], Z[size - 1, i] = p, q
+    R = sympy.zeros(size, len(fibers) + 1)
+    for j, (a, b) in enumerate(fibers):
+        R[j, j], R[size - 1, j] = a, b
+    for g in range(size - 1):
+        R[g, len(fibers)] = 1
+    R[size - 1, len(fibers)] = -block.section_obstruction
+    M = Z.row_join(R)
+    rank = M.rank()
+    forced = [i for i in range(k) if M[:, [c for c in range(M.cols) if c != i]].rank() < rank]
+
+    assert v.chargeless == (not forced)
+    assert v.obstruction_index == (forced[0] if forced else None)
+    # the rows must span the whole kernel: one row per dimension of it
+    assert len(v.lattice.rows) == M.cols - rank
+    for row in v.lattice.rows:
+        assert M * sympy.Matrix(row) == sympy.zeros(size, 1)
+    if v.chargeless:
+        assert 0 not in v.witness
+    if v.witness:
+        w = sympy.Matrix(v.witness)
+        # the one x with R*x = -Z*w must be integral
+        x = (R.T * R).solve(-R.T * Z * w)
+        assert R * x == -Z * w and all(c.is_integer for c in x)
+    if all(p for p, _ in slopes.values()):
+        relative = block.section_obstruction + sum(Fraction(b, a) for a, b in fibers) + sum(
+            Fraction(q, p) for p, q in slopes.values()
+        )
+        assert v.euler_diagnostic == -relative
+        filled = fill_along_slopes(block, [Slope(*slopes[i]) for i in range(k)])
+        assert v.euler_diagnostic == euler_number(filled)
+    else:
+        assert v.euler_diagnostic is None
+
+
 def test_hub_verdicts_agree_with_sympy_ranks():
-    # 300 hubs; expected values come from sympy ranks of [Z | R], with Z and
-    # R built here over q_1..q_m, d_1..d_k, h (genus generators are in no
-    # relation and no class, so they are left out)
     rng = random.Random(2024)
     seen = Counter()
     for _ in range(300):
         m, slopes = _random_hub(rng)
-        block = m.blocks["C"]
         v = is_chargeless_block(m, "C")
-        k, fibers = len(slopes), block.exceptional
-        assert {e.boundary_index: (e.slope.p, e.slope.q) for e in v.ends} == slopes
-
-        size = len(fibers) + k + 1
-        Z = sympy.zeros(size, k)
-        for i, e in enumerate(v.ends):
-            p, q = slopes[e.boundary_index]
-            Z[len(fibers) + e.boundary_index, i], Z[size - 1, i] = p, q
-        R = sympy.zeros(size, len(fibers) + 1)
-        for j, (a, b) in enumerate(fibers):
-            R[j, j], R[size - 1, j] = a, b
-        for g in range(size - 1):
-            R[g, len(fibers)] = 1
-        M = Z.row_join(R)
-        rank = M.rank()
-        forced = [i for i in range(k) if M[:, [c for c in range(M.cols) if c != i]].rank() < rank]
-
-        assert v.chargeless == (not forced)
-        assert v.obstruction_index == (forced[0] if forced else None)
-        # R has full column rank, so the rows must span the whole kernel
-        assert len(v.lattice.rows) == M.cols - rank
-        for row in v.lattice.rows:
-            assert M * sympy.Matrix(row) == sympy.zeros(size, 1)
-        if v.chargeless:
-            w = sympy.Matrix(v.witness)
-            assert 0 not in v.witness
-            # the one x with R*x = -Z*w must be integral
-            x = (R.T * R).solve(-R.T * Z * w)
-            assert R * x == -Z * w and all(c.is_integer for c in x)
-        if all(p for p, _ in slopes.values()):
-            relative = sum(Fraction(b, a) for a, b in fibers) + sum(
-                Fraction(q, p) for p, q in slopes.values()
-            )
-            assert v.euler_diagnostic == -relative
-        else:
-            assert v.euler_diagnostic is None
+        _check_with_sympy(v, m.blocks["C"], slopes)
+        fibers = m.blocks["C"].exceptional
         seen[v.chargeless, any(p == 0 for p, _ in slopes.values())] += 1
         seen["self-glued"] += any(t.end_a.block_id == t.end_b.block_id for t in m.jsj_tori)
         seen["exceptional"] += bool(fibers)
-        seen[f"ends={k}"] += 1
+        seen[f"ends={len(slopes)}"] += 1
     assert min(seen[c, z] for c in (True, False) for z in (True, False)) >= 20
     assert min(seen["self-glued"], seen["exceptional"]) >= 50
     assert all(seen[f"ends={k}"] for k in range(1, 8))
+
+
+def test_section_obstruction_agrees_with_sympy_ranks():
+    # 200 blocks built without validate: closed blocks with e = 0 and e != 0,
+    # and hubs whose section obstruction b is -1, 0 or 1 (validate refuses a
+    # nonzero b on a bounded block; the closed form reads it all the same)
+    rng = random.Random(30)
+    seen = Counter()
+    for i in range(200):
+        if i % 2:
+            m, slopes = _random_hub(rng, rng.choice((-1, 0, 1)))
+        else:
+            fibers = [_coprime_fiber(rng) for _ in range(rng.randint(0, 3))]
+            b = rng.randint(-2, 2)
+            if rng.random() < 0.5:
+                fibers += _cancelling(b, fibers, ())
+            block = SeifertBlockData(rng.randint(0, 1), 0, tuple(fibers), b)
+            m, slopes = ManifoldGraph({"C": block}), {}
+        block = m.blocks["C"]
+        v = is_chargeless_block(m, "C")
+        _check_with_sympy(v, block, slopes)
+        if not slopes:
+            seen["closed", euler_number(block) == 0] += 1
+        elif block.section_obstruction and all(p for p, _ in slopes.values()):
+            seen["b reads", v.chargeless] += 1
+    assert min(seen["closed", True], seen["closed", False]) >= 30
+    assert min(seen["b reads", True], seen["b reads", False]) >= 10
+    # b = 1 against one neighbor fiber (1,-1): the relative Euler number is 0
+    m = ManifoldGraph(
+        {"C": SeifertBlockData(0, 1, (), 1), "N": SeifertBlockData(0, 1)},
+        (TorusEdge("T", TorusEnd("C", 0), TorusEnd("N", 0), GluingMatrix(1, 1, 1, 0)),),
+    )
+    v = is_chargeless_block(m, "C")
+    assert [str(e.slope) for e in v.ends] == ["(1,-1)"]
+    assert v.chargeless and v.witness == (1,) and v.euler_diagnostic == 0
 
 
 def test_block_with_an_unglued_index_is_rejected():

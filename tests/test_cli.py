@@ -339,17 +339,30 @@ def test_internal_error_exits_3(capsys, catalog, monkeypatch, error):
     assert err.endswith(f"{type(error).__name__}: {error}\n")
 
 
-def test_failed_witness_check_exits_3(capsys, catalog, monkeypatch):
+@pytest.mark.parametrize(
+    "sub,text,block",
+    [
+        ("classify", None, "B"),  # catalog chargeless_mixed.m3
+        # a closed block with e = 0 has the row (1, 1, -2), checked like any other
+        ("chargeless", "block M seifert genus=0 boundaries=0 exceptional=(2,1)(2,-1) b=0\n", "M"),
+    ],
+    ids=["chargeless_mixed", "closed"],
+)
+def test_failed_witness_check_exits_3(capsys, catalog, tmp_path, monkeypatch, sub, text, block):
     # one corrupted relation coefficient is a bug, never a "charged" exit 1
     def corrupted(dim, rows):
         first = rows[0]
         return LatticeBasis(dim, ((*first[:-1], first[-1] + 1),) + rows[1:])
 
+    path = catalog / "chargeless_mixed.m3"
+    if text is not None:
+        path = tmp_path / "closed.m3"
+        path.write_text(text)
     monkeypatch.setattr(charge, "LatticeBasis", corrupted)
-    code, out, err = run(capsys, "classify", str(catalog / "chargeless_mixed.m3"))
+    code, out, err = run(capsys, sub, str(path))
     assert (code, out) == (3, "")
     assert err.startswith("internal error:\nTraceback (most recent call last):\n")
-    assert err.endswith("AssertionError: witness for B failed the substitution check\n")
+    assert err.endswith(f"AssertionError: witness for {block} failed the substitution check\n")
 
 
 def test_surface_genus_costs_no_snf_work(capsys, tmp_path):

@@ -342,7 +342,7 @@ WALLSPACE_ERRORS = [
     ("chambers 2\nchambers 2\n", "chambers redeclared", 2),
     ("chambers 0\n", "at least one chamber", 1),
     ("chambers 2\nwall w U=0 V=5\n", "out of range", 2),
-    ("chambers 2\nwall w U=0 V=1\nwall w U=1 V=0\n", "redeclared", 3),
+    ("chambers 3\nwall w U=0 V=1,2\nwall w U=1 V=0,2\n", "redeclared", 3),
     ("chambers 2\nwall w V=1 U=0\n", "expected U=", 2),
     ("chambers 2\nwall w U=0,1 V=1\n", "contains", 2),
     ("chambers 4\nwall w U=0 V=1\n", "cover", 2),
@@ -379,9 +379,18 @@ def halves(u, v):
 WS_RULE_CASES = [
     ("chambers 0\n", Wallspace((), ()), "need at least one chamber", 1, 10),
     (
-        "chambers 2\nwall w U=0 V=1\nwall  w U=1 V=0\n",
-        Wallspace((0, 1), (Wall("w", *halves({0}, {1})), Wall("w", *halves({1}, {0})))),
+        "chambers 3\nwall w U=0 V=1,2\nwall  w U=1 V=0,2\n",
+        Wallspace(
+            (0, 1, 2), (Wall("w", *halves({0}, {1, 2})), Wall("w", *halves({1}, {0, 2})))
+        ),
         "wall 'w' redeclared", 3, 7,
+    ),
+    (
+        "chambers 3\nwall w U=0 V=1,2\nwall x U=1,2 V=0\n",
+        Wallspace(
+            (0, 1, 2), (Wall("w", *halves({0}, {1, 2})), Wall("x", *halves({1, 2}, {0})))
+        ),
+        "same halves as wall w", 3, 1,
     ),
     (
         "chambers 2\nwall w U=0,7 V=1\n",
