@@ -146,10 +146,9 @@ def is_chargeless_block(m: ManifoldGraph, block_id: str) -> ChargeVerdict:
             for i in matched[:-1]
         )
     else:
-        relative = _euler_sum(data) + sum(Fraction(e.slope.q, e.slope.p) for e in ends)
-        diagnostic = -relative
-        if relative == 0:
-            lcm = math.lcm(*(a for a, _ in fibers), *(e.slope.p for e in ends))
+        total, lcm = _euler_sum(data, [e.slope for e in ends])
+        diagnostic = Fraction(-total, lcm)
+        if total == 0:
             rows = (
                 tuple(lcm // e.slope.p for e in ends)
                 + tuple(lcm // a for a, _ in fibers)
@@ -214,17 +213,25 @@ def fill_along_slopes(b: SeifertBlockData, slopes: Sequence[Slope]) -> SeifertBl
     )
 
 
-def _euler_sum(b: SeifertBlockData) -> Fraction:
-    """b + sum(b_j / a_j), exact: the block's own share of a relative Euler
-    number."""
-    return sum((Fraction(bb, a) for a, bb in b.exceptional), Fraction(b.section_obstruction))
+def _euler_sum(b: SeifertBlockData, ends: Sequence[Slope] = ()) -> tuple[int, int]:
+    """(N, L) with b + sum(b_j/a_j) + sum(q_i/p_i) = N/L over the given end
+    slopes (p_i, q_i), all p_i != 0, and L = lcm(a_j, p_i): each term is an
+    integer multiple of 1/L, so the sum is exact in integers."""
+    lcm = math.lcm(*(a for a, _ in b.exceptional), *(s.p for s in ends))
+    total = (
+        b.section_obstruction * lcm
+        + sum(bb * (lcm // a) for a, bb in b.exceptional)
+        + sum(s.q * (lcm // s.p) for s in ends)
+    )
+    return total, lcm
 
 
 def euler_number(b: SeifertBlockData) -> Fraction:
     """e = -(section obstruction + sum of b_j / a_j), exact."""
     if b.num_boundary != 0:
         raise InputError("Euler number needs a closed Seifert block")
-    return -_euler_sum(b)
+    total, lcm = _euler_sum(b)
+    return Fraction(-total, lcm)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,8 @@ from .homology import presentation_h1
 from .manifold import SeifertBlockData, slope_normalize
 from .wallspace import dual_cube_complex, torus_line_wallspace
 
+LABEL_BUDGET = 10**6  # most generator labels `homology` spells
+
 
 def _read(path: str) -> str:
     with open(path, "rb") as fh:
@@ -136,7 +138,12 @@ def _seifert_block(args) -> SeifertBlockData:
 
 
 def _cmd_homology(args) -> tuple[int, dict, str]:
-    pres = presentation_h1(_seifert_block(args))
+    data = _seifert_block(args)
+    # the report spells one label per generator: refuse before building them
+    labels = 2 * data.genus + len(data.exceptional) + data.num_boundary + 1
+    if labels > LABEL_BUDGET:
+        raise BudgetExceededError(LABEL_BUDGET, f"generators on block {args.block}")
+    pres = presentation_h1(data)
     rank, torsion = pres.invariants()
     generators = pres.generators
     record = {

@@ -186,8 +186,19 @@ class AbelianPresentation:
         return self.num_exceptional + k
 
     def invariants(self) -> tuple[int, list[int]]:
-        rank, torsion = abelian_invariants(self.relations)
-        return 2 * self.genus + rank, torsion
+        """(free rank, torsion orders > 1) of H1.
+
+        Rows d_1, ..., d_p are one row: a 1 in the section column and 0
+        elsewhere. Subtracting d_1 from each of d_2, ..., d_p is a
+        unimodular row operation that leaves p - 1 zero rows, each a free Z
+        summand, so those are counted like the 2g surface classes, and the
+        Smith normal form sees only the rows q_1, ..., q_m, d_1, h: at most
+        (m + 2) x (m + 1) entries, whatever p is.
+        """
+        rows = self.relations.rows
+        core = rows[: self.num_exceptional + min(self.num_boundary, 1)] + rows[-1:]
+        rank, torsion = abelian_invariants(IntMatrix(core))
+        return 2 * self.genus + max(self.num_boundary - 1, 0) + rank, torsion
 
 
 def presentation_h1(b: SeifertBlockData) -> AbelianPresentation:

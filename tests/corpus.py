@@ -49,6 +49,8 @@ INPUTS = {
     # two squares whose vertical class osculates with itself indirectly
     "indirect.cc": "vertex a0\nvertex a1\nvertex a2\nvertex b0\nvertex b1\n"
     "cube 2 a0 a1 b0 b1\ncube 2 a1 a2 b1 a0\n",
+    # 2*10**8 + 1 generators: more labels than `homology` spells
+    "huge_genus.m3": "block A seifert genus=100000000 boundaries=0\n",
     # a good manifold under an extension that validate does not read
     "notes.txt": "block M seifert genus=1 boundaries=0\n",
     # written as latin-1, so \xff is one byte, and not UTF-8
@@ -138,6 +140,7 @@ def runs(workdir: Path) -> list[tuple[list[str], bool]]:
         ["torus-walls", "--slopes", "0/0"],
         ["homology", mixed, "--block", "nope"],
         ["homology", mixed, "--block", "H"],
+        ["homology", inp["huge_genus.m3"], "--block", "A"],
         ["euler", str(catalog / "sfs_boundary.m3"), "--block", "M"],
     ]
     for name, text, _tail in NPC_PROBES:

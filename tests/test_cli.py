@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from m3cube import charge, cli, cubecomplex, wallspace
+from m3cube import charge, cli, cubecomplex, homology, wallspace
 from m3cube.cli import main
 from m3cube.fileformats import parse_complex, parse_wallspace
 from m3cube.homology import LatticeBasis
@@ -394,6 +394,45 @@ def test_surface_genus_costs_no_snf_work(capsys, tmp_path):
         assert time.perf_counter() - start < 1
         assert (code, err) == (0, "")
         assert out.splitlines()[-1] == last
+
+
+def test_boundary_count_costs_no_snf_work(capsys, monkeypatch, tmp_path):
+    # boundary generators d_2 ... d_p repeat the row of d_1 and are counted
+    # like the surface ones: one SNF on the rows q_1, q_2, d_1, h, not a
+    # 20003 x 3 matrix whose U transform has 400 million entries
+    ends = 20000
+    path = tmp_path / "ends.m3"
+    path.write_text(
+        f"block A seifert genus=1 boundaries={ends} exceptional=(2,1)(3,-1)\n"
+        + "".join(f"boundary A.{k}\n" for k in range(ends))
+    )
+    shapes = []
+    original = homology.smith_normal_form
+
+    def counting(A):
+        shapes.append((A.nrows, A.ncols))
+        return original(A)
+
+    monkeypatch.setattr(homology, "smith_normal_form", counting)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "homology", str(path), "--block", "A")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    # Z^2 from the surface, Z^19999 from d_2 ... d_p, and the core
+    # Z<q1, q2, d1, h> / (2q1 + h, 3q2 - h, q1 + q2 + d1) = Z
+    assert out.splitlines()[-1] == "H1: Z^20002"
+    assert len(shapes) == 1 and shapes[0][0] * shapes[0][1] <= (2 + 2) * (2 + 1)
+
+
+def test_homology_refuses_more_labels_than_it_spells(capsys, tmp_path):
+    # 2g + m + p + 1 labels are counted before any is built: no MemoryError
+    path = tmp_path / "huge_genus.m3"
+    path.write_text("block A seifert genus=100000000 boundaries=0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "homology", str(path), "--block", "A")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "budget exceeded: more than 1000000 generators on block A\n"
 
 
 def test_huge_boundary_count_fails_fast(capsys, tmp_path):

@@ -160,3 +160,26 @@ def test_euler_number_requires_closed():
 
     with pytest.raises(InputError, match="Euler number needs a closed Seifert block"):
         euler_number(SeifertBlockData(0, 1))
+
+
+def test_invariants_agree_with_sympy_on_the_full_relation_matrix():
+    # the boundary rows beyond d_1 are counted, not reduced: sympy reduces
+    # the whole (m + p + 1) x (m + 1) matrix, written here from the
+    # invariants and not read back from the presentation
+    rng = random.Random(31)
+    for _ in range(200):
+        genus, p = rng.randint(0, 3), rng.randint(0, 50)
+        exceptional = []
+        for _ in range(rng.randint(0, 4)):
+            a = rng.randint(2, 7)
+            exceptional.append((a, rng.choice([bb for bb in range(-a, a) if math.gcd(a, bb) == 1])))
+        b = rng.randint(-3, 3) if p == 0 else 0
+        block = SeifertBlockData(genus, p, exceptional=tuple(exceptional), section_obstruction=b)
+        m = len(exceptional)
+        full = [[a if i == j else 0 for j in range(m)] + [1] for i, (a, _) in enumerate(exceptional)]
+        full += [[0] * m + [1] for _ in range(p)]
+        full.append([bb for _, bb in exceptional] + [-b])
+        diag = [abs(d) for d in sympy_snf(Matrix(full)).diagonal()]
+        rank = len(full) - sum(1 for d in diag if d != 0)
+        torsion = sorted(d for d in diag if d > 1)
+        assert presentation_h1(block).invariants() == (2 * genus + rank, torsion), block
