@@ -2,7 +2,9 @@
 
 A complex is a vertex set plus explicit cubes; each cube is a corner map
 from {0,1}^d to vertices, listed in binary-counter order (bit j of the
-corner index is coordinate j). Edges and squares are implicit: they are
+corner index is coordinate j). A ``Cube`` is a record that costs one
+tuple: it is the pair ``(dim, corners)``, compares and hashes equal to it,
+and names its two fields. Edges and squares are implicit: they are
 the 1- and 2-faces of the listed cubes that are not a facet of another
 listed cube (compared corner for corner); a listed facet adds no face its
 cube lacks. Every scan reads a cube's k-faces from one table, ``_faces``.
@@ -41,13 +43,13 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import InputError
 from .manifold import Problem, ValidationReport
 
 
-@dataclass(frozen=True)
-class Cube:
+class Cube(NamedTuple):
     dim: int
     corners: tuple
 

@@ -3,9 +3,9 @@
 Every malformed or out-of-contract input raises ``InputError`` (the CLI
 maps it to exit code 2); its message says which rule the input broke.
 ``ParseError`` adds the line and column of text input, and
-``BudgetExceededError`` the budget a dual complex or a ``homology`` report
-passed. Negative mathematical verdicts are never raised; they are ordinary
-return values.
+``BudgetExceededError`` the budget a dual complex, a ``homology`` report or
+a ``.ws`` file's chamber count passed. Negative mathematical verdicts are
+never raised; they are ordinary return values.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ class InputError(M3CubeError):
 
 
 class BudgetExceededError(M3CubeError):
-    """A dual complex passed its budget of orientations or cubes, or a block
-    has more generators than ``homology`` spells."""
+    """A dual complex passed its budget of orientations or cubes, a block
+    has more generators than ``homology`` spells, or a ``.ws`` file declares
+    more chambers than the reader builds."""
 
     def __init__(self, budget: int, what: str = "consistent orientations"):
         super().__init__(f"more than {budget} {what}")

@@ -10,7 +10,9 @@ computed only for the error that is reported, by re-scanning that line.
 A .m3, .ws or .cc file is read whole before any rule is checked, so its
 records may come in any order and a syntax error anywhere is reported
 first. The reader itself rejects only what the parsed value cannot hold: a
-block id declared twice, a second geometry or chambers record.
+block id declared twice, a second geometry or chambers record, and more
+than ``CHAMBER_BUDGET`` chambers (a budget error, raised before any
+chamber is built).
 ``manifold.validate``, ``validate_wallspace`` and ``validate_complex``
 decide every other rule, and the problem in the earliest record is
 reported at the line and column of that record or field; problems of no
@@ -28,7 +30,7 @@ import re
 from operator import itemgetter
 
 from .cubecomplex import Cube, CubeComplex
-from .errors import ParseError
+from .errors import BudgetExceededError, ParseError
 from .manifold import (
     GluingMatrix,
     HyperbolicBlockData,
@@ -43,6 +45,7 @@ from .manifold import (
 from .wallspace import Wall, Wallspace
 
 _TOKEN_RE = re.compile(r"\S+")  # the tokens str.split() finds: \s is str.isspace
+CHAMBER_BUDGET = 10**6  # most chambers a .ws file may declare
 
 
 class _Failure(Exception):
@@ -272,6 +275,8 @@ def _parse_wallspace(text: str) -> Wallspace:
 
     if n is None:
         _raise_first(ValidationReport((Problem((), None, "missing chambers record"),)), text)
+    if n > CHAMBER_BUDGET:  # refused before a chamber is built
+        raise BudgetExceededError(CHAMBER_BUDGET, "chambers")
     ws = Wallspace(tuple(range(n)), tuple(walls))
     _raise_first(ws.report, text)
     return ws
@@ -312,10 +317,19 @@ def _parse_complex(text: str) -> CubeComplex:
 
 
 def serialize_complex(c: CubeComplex) -> str:
-    """Vertices and cubes in the complex's vertex rank (``str``) order."""
+    """The vertices in the complex's vertex rank (``str``) order, then the
+    cubes by dimension, and within one dimension by the tuple of their
+    corners' ranks. Each dimension is sorted and written on its own, so the
+    sort keys of only one dimension and the lines of only one are held at
+    a time. An empty complex is one empty line."""
     rank = c.rank
     name = {v: str(v) for v in rank}  # each vertex formatted once
-    out = [f"vertex {s}" for s in name.values()]
-    for cube in sorted(c.cubes, key=lambda k: (k.dim, itemgetter(*k.corners)(rank))):
-        out.append(f"cube {cube.dim} " + " ".join(itemgetter(*cube.corners)(name)))
-    return "\n".join(out) + "\n"
+    groups: dict[int, list[tuple]] = {}
+    for dim, corners in c.cubes:
+        groups.setdefault(dim, []).append(corners)
+    text = "".join(f"vertex {s}\n" for s in name.values())
+    for dim, group in sorted(groups.items()):
+        group.sort(key=lambda k: itemgetter(*k)(rank))
+        head = f"cube {dim} "
+        text += head + f"\n{head}".join([" ".join(itemgetter(*k)(name)) for k in group]) + "\n"
+    return text or "\n"

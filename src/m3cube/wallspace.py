@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
 from math import lcm
-from operator import or_
+from operator import itemgetter, or_
 from typing import Sequence
 
 from .cubecomplex import Cube, CubeComplex
@@ -150,28 +150,37 @@ def dual_cube_complex(ws: Wallspace, budget: int = 10 ** 6) -> DualComplex:
                 stack.append((i + 1, o << 1 | s, ok & meets[2 * i + s]))
     index = {o: k for k, o in enumerate(found)}
 
-    # up[v][w]: the vertex reached by flipping wall w from side 0 at v
-    flips = [1 << n - 1 - w for w in range(n)]
-    up = [
-        {w: index[o ^ f] for w, f in enumerate(flips) if not o & f and o ^ f in index}
-        for o in found
-    ]
+    # The flip tables: up[w][v] is the vertex reached by flipping wall w
+    # from side 0 at v (None where the flip is no vertex), and free[v] lists
+    # those walls at v in increasing order. Like the orientations, they
+    # hold one entry per wall and vertex.
+    up = [[None] * len(found) for _ in range(n)]
+    free: list[list[int]] = [[] for _ in found]
+    for w in range(n):
+        f, row = 1 << n - 1 - w, up[w]
+        for v, o in enumerate(found):
+            if not o & f and (t := index.get(o ^ f)) is not None:
+                row[v] = t
+                free[v].append(w)
 
     # The cubes at base v flip pairwise crossing walls that each flip alone
-    # at v; they grow depth first, adding walls in increasing order.
+    # at v; they grow depth first, adding walls in increasing order. A
+    # cube's corners are its face's, then their flips across the new wall.
     cubes: list[Cube] = []
     for v in range(len(found)):
-        stack = [(0, [v], list(up[v]))]
+        stack = [(0, (v,), free[v])]
         while stack:
-            d, corners, free = stack.pop()
+            d, corners, walls_left = stack.pop()
             if d:
-                cubes.append(Cube(d, tuple(corners)))
+                cubes.append(Cube(d, corners))
                 if len(cubes) > budget:
                     raise BudgetExceededError(budget, "cubes")
-            for j in reversed(range(len(free))):
-                w = free[j]
-                later = [x for x in free[j + 1:] if cross[w] >> 2 * x & 1]
-                stack.append((d + 1, corners + [up[c][w] for c in corners], later))
+            # the corners' flips across one wall, read from its table as a tuple
+            flip = itemgetter(*corners) if d else lambda row: (row[v],)
+            for j in reversed(range(len(walls_left))):
+                w = walls_left[j]
+                later = [x for x in walls_left[j + 1:] if cross[w] >> 2 * x & 1]
+                stack.append((d + 1, corners + flip(up[w]), later))
 
     orientations = tuple(tuple(o >> n - 1 - i & 1 for i in range(n)) for o in found)
     cx = CubeComplex(tuple(range(len(found))), tuple(cubes))

@@ -51,6 +51,8 @@ INPUTS = {
     "cube 2 a0 a1 b0 b1\ncube 2 a1 a2 b1 a0\n",
     # 2*10**8 + 1 generators: more labels than `homology` spells
     "huge_genus.m3": "block A seifert genus=100000000 boundaries=0\n",
+    # more chambers than a .ws file may declare
+    "huge_chambers.ws": "chambers 100000000\n",
     # a good manifold under an extension that validate does not read
     "notes.txt": "block M seifert genus=1 boundaries=0\n",
     # written as latin-1, so \xff is one byte, and not UTF-8
@@ -141,6 +143,7 @@ def runs(workdir: Path) -> list[tuple[list[str], bool]]:
         ["homology", mixed, "--block", "nope"],
         ["homology", mixed, "--block", "H"],
         ["homology", inp["huge_genus.m3"], "--block", "A"],
+        *([sub, inp["huge_chambers.ws"]] for sub in SUBCOMMANDS[".ws"]),
         ["euler", str(catalog / "sfs_boundary.m3"), "--block", "M"],
     ]
     for name, text, _tail in NPC_PROBES:

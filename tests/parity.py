@@ -7,9 +7,13 @@ checkout's ``src``. The corpus of ``corpus.py`` is written once into a
 temporary directory, with the catalog of the change tree, so both trees
 read the same files and the paths in their messages match. Each tree runs
 the whole corpus in one child process, each run through ``cli.main`` in
-process. The tool prints the run count and, for every argv whose stdout,
-stderr or exit code differs, the exit codes and a diff of each stream that
-differs. It exits 1 when some run differs.
+process. Each child's address space is capped at 2 GB (``RLIMIT_AS``), so
+an input that allocates without bound raises ``MemoryError`` inside its
+run, which ``cli.main`` reports as exit 3, a difference like any other,
+instead of taking the child and the report with it. The tool prints the
+run count and, for every argv whose stdout, stderr or exit code differs,
+the exit codes and a diff of each stream that differs. It exits 1 when
+some run differs.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import difflib
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -39,6 +44,17 @@ json.dump({"package": m3cube.__file__, "runs": out}, sys.stdout)
 """
 
 
+ADDRESS_SPACE = 2 * 1024**3  # bytes a child may map
+
+
+def cap_address_space() -> None:
+    """Cap this process's address space at ``ADDRESS_SPACE``, or at the hard
+    limit if that is lower; the ``preexec_fn`` of every child."""
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = ADDRESS_SPACE if hard == resource.RLIM_INFINITY else min(ADDRESS_SPACE, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
 def outputs(src: Path, argvs: list[list[str]], cwd: Path) -> list[tuple[str, str, int]]:
     """(stdout, stderr, exit code) of each argv under the m3cube in src."""
     src = Path(src).resolve()
@@ -46,6 +62,7 @@ def outputs(src: Path, argvs: list[list[str]], cwd: Path) -> list[tuple[str, str
     child = subprocess.run(
         [sys.executable, "-c", CHILD],
         input=json.dumps(argvs), capture_output=True, text=True, env=env, cwd=cwd,
+        preexec_fn=cap_address_space,
     )
     if child.returncode:
         raise RuntimeError(f"the child for {src} exited {child.returncode}:\n{child.stderr}")

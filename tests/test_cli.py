@@ -1,15 +1,27 @@
 """Command line driver: output text, exit codes, JSON records."""
 
 import json
+import os
+import random
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import m3cube
 from m3cube import charge, cli, cubecomplex, homology, wallspace
 from m3cube.cli import main
+from m3cube.cubecomplex import Cube, CubeComplex
 from m3cube.fileformats import parse_complex, parse_wallspace
 from m3cube.homology import LatticeBasis
+from m3cube.manifold import Slope
+from m3cube.wallspace import torus_line_wallspace, validate_wallspace
+from parity import cap_address_space
+from test_fileformats import reference_cc
+from test_wallspace import brute_force_dual, hypercube_walls, random_overlapping_wallspace
 
 
 def run(capsys, *argv):
@@ -326,6 +338,43 @@ def test_dual_cube_budget(capsys, catalog, tmp_path):
     assert len([line for line in out.splitlines() if line.startswith("cube ")]) == 665
 
 
+def oracle_cc(ws):
+    """The .cc text of the brute-force dual of ws, by the writer's rule."""
+    vertices, cubes = brute_force_dual(ws)
+    return reference_cc(CubeComplex(tuple(range(len(vertices))), tuple(Cube(*k) for k in cubes)))
+
+
+def ws_text(ws):
+    """.ws text of a wallspace on chambers 0, 1, ..., spelled out here."""
+    lines = [f"chambers {len(ws.chambers)}"]
+    for w in ws.walls:
+        u, v = (",".join(map(str, sorted(half))) for half in w.sides())
+        lines.append(f"wall {w.wall_id} U={u} V={v}")
+    return "\n".join(lines) + "\n"
+
+
+def test_dual_cube_stdout_matches_the_brute_force_dual(capsys, tmp_path):
+    rng = random.Random(32)
+    spaces = [hypercube_walls(k) for k in range(1, 7)]
+    while len(spaces) < 46:
+        ws = random_overlapping_wallspace(rng)
+        if validate_wallspace(ws).ok:
+            spaces.append(ws)
+    path = tmp_path / "w.ws"
+    for ws in spaces:
+        path.write_text(ws_text(ws))
+        assert run(capsys, "dual-cube", str(path)) == (0, oracle_cc(ws), "")
+
+
+@pytest.mark.parametrize("slopes", ["1/0,0/1,1/1", "1/0,0/1,1/2", "1/0,0/1"])
+def test_torus_walls_dual_stdout_matches_the_brute_force_dual(capsys, slopes):
+    parsed = tuple(Slope(*map(int, s.split("/"))) for s in slopes.split(","))
+    for window in range(3):
+        expected = oracle_cc(torus_line_wallspace(parsed, window))
+        argv = ("torus-walls", "--slopes", slopes, "--window", str(window), "--dual")
+        assert run(capsys, *argv) == (0, expected, "")
+
+
 @pytest.mark.parametrize("error", [RuntimeError("boom"), RecursionError("deep")])
 def test_internal_error_exits_3(capsys, catalog, monkeypatch, error):
     def broken(args):
@@ -433,6 +482,20 @@ def test_homology_refuses_more_labels_than_it_spells(capsys, tmp_path):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err == "budget exceeded: more than 1000000 generators on block A\n"
+
+
+def test_huge_chamber_count_is_refused_before_a_chamber_is_built(tmp_path):
+    # 10**8 chambers would take gigabytes, more than the child's address space
+    path = tmp_path / "huge.ws"
+    path.write_text("chambers 100000000\n")
+    for command in ("validate", "dual-cube"):
+        child = subprocess.run(
+            [sys.executable, "-m", "m3cube.cli", command, str(path)],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
+            env=dict(os.environ, PYTHONPATH=str(Path(m3cube.__file__).parent.parent)),
+        )
+        assert (child.returncode, child.stdout) == (2, "")
+        assert child.stderr == "budget exceeded: more than 1000000 chambers\n"
 
 
 def test_huge_boundary_count_fails_fast(capsys, tmp_path):

@@ -685,3 +685,11 @@ def test_random_quotients_report_without_crashing():
         assert rep.special == clean
         text = rep.render()
         assert text.rstrip().rsplit("\n", 1)[-1] in ("special", "not special")
+
+
+def test_a_cube_is_the_pair_it_names():
+    corners = ("a", "b", "c", "d")
+    q = Cube(2, corners)
+    assert (q.dim, q.corners) == tuple(q) == (2, corners)
+    assert q == (2, corners) and hash(q) == hash((2, corners))
+    assert {q, (2, corners)} == {q}

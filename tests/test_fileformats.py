@@ -515,6 +515,12 @@ def writer_inputs():
         slopes = (Slope(1, 0), Slope(0, 1), third)
         for w in range(3):
             inputs.append(dual_cube_complex(torus_line_wallspace(slopes, w)).complex)
+    inputs.append(CubeComplex(()))  # no records at all
+    inputs.append(CubeComplex(("b", "10", "9", "a")))  # vertices only
+    # 1- and 3-cubes with no 2-cube listed between them
+    cube3 = ("10", "a", "2", "b", "c", "11", "d", "0")
+    edges = [Cube(1, pair) for pair in (("e", "10"), ("0", "e"), ("b", "a"), ("2", "f"))]
+    inputs.append(CubeComplex(cube3 + ("e", "f"), (Cube(3, cube3), *edges, Cube(3, cube3[::-1]))))
     return inputs
 
 
@@ -523,6 +529,7 @@ def test_serialize_complex_matches_reference_writer():
     assert any(len(set(k.corners)) < len(k.corners) for c in inputs for k in c.cubes)
     assert any(len(set(c.cubes)) < len(c.cubes) for c in inputs)
     for c in inputs:
+        assert validate_complex(c).ok
         assert serialize_complex(c) == reference_cc(c)
 
 
