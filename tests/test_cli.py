@@ -15,7 +15,7 @@ import m3cube
 from m3cube import charge, cli, cubecomplex, homology, wallspace
 from m3cube.cli import main
 from m3cube.cubecomplex import Cube, CubeComplex
-from m3cube.fileformats import parse_complex, parse_wallspace
+from m3cube.fileformats import parse_complex, parse_wallspace, serialize_wallspace
 from m3cube.homology import LatticeBasis
 from m3cube.manifold import Slope
 from m3cube.wallspace import torus_line_wallspace, validate_wallspace
@@ -344,15 +344,6 @@ def oracle_cc(ws):
     return reference_cc(CubeComplex(tuple(range(len(vertices))), tuple(Cube(*k) for k in cubes)))
 
 
-def ws_text(ws):
-    """.ws text of a wallspace on chambers 0, 1, ..., spelled out here."""
-    lines = [f"chambers {len(ws.chambers)}"]
-    for w in ws.walls:
-        u, v = (",".join(map(str, sorted(half))) for half in w.sides())
-        lines.append(f"wall {w.wall_id} U={u} V={v}")
-    return "\n".join(lines) + "\n"
-
-
 def test_dual_cube_stdout_matches_the_brute_force_dual(capsys, tmp_path):
     rng = random.Random(32)
     spaces = [hypercube_walls(k) for k in range(1, 7)]
@@ -362,7 +353,7 @@ def test_dual_cube_stdout_matches_the_brute_force_dual(capsys, tmp_path):
             spaces.append(ws)
     path = tmp_path / "w.ws"
     for ws in spaces:
-        path.write_text(ws_text(ws))
+        path.write_text(serialize_wallspace(ws))
         assert run(capsys, "dual-cube", str(path)) == (0, oracle_cc(ws), "")
 
 
